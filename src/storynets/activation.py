@@ -4,15 +4,15 @@ Each iteration a node keeps a fraction `retention` of its activation and
 spreads the rest uniformly over its neighbours; degree-0 nodes keep
 everything.  Total mass (initialised to the node count N at the seed) is
 conserved, and on the seed's component the process converges to the
-degree-proportional distribution, giving the closed-form check in
-`stationary_oracle`.
+degree-proportional distribution: `stationary_oracle` gives that limit
+in closed form, and `run_to_stationarity` iterates to it.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -54,26 +54,12 @@ def _check_retention(retention):
         raise ValueError(f"retention must lie in (0, 1), got {retention}")
 
 
-def _index_network(net):
-    nodes = sorted(net.nodes)
-    index = {node: i for i, node in enumerate(nodes)}
-    m = len(net.edges)
-    src = np.empty(2 * m, dtype=np.int64)
-    dst = np.empty(2 * m, dtype=np.int64)
-    for pos, (a, b) in enumerate(sorted(net.edges)):
-        src[2 * pos], dst[2 * pos] = index[a], index[b]
-        src[2 * pos + 1], dst[2 * pos + 1] = index[b], index[a]
-    deg = np.bincount(src, minlength=len(nodes)).astype(float)
-    return nodes, index, src, dst, deg
-
-
-def _advance(values, retention, src, dst, deg, isolated):
+def _advance(values, retention, index):
+    moving = index.degree > 0
     outflow = np.divide(
-        (1.0 - retention) * values, deg, out=np.zeros_like(values), where=deg > 0
+        (1.0 - retention) * values, index.degree, out=np.zeros_like(values), where=moving
     )
-    new = retention * values + np.bincount(dst, weights=outflow[src], minlength=values.size)
-    new[isolated] = values[isolated]
-    return new
+    return np.where(moving, retention * values + index.neighbour_sum(outflow), values)
 
 
 def init_activation(net, seed):
@@ -89,12 +75,10 @@ def init_activation(net, seed):
 def step(state, net, retention):
     """One synchronous update of the whole activation vector."""
     _check_retention(retention)
-    nodes, index, src, dst, deg = _index_network(net)
-    values = np.array([state.values[node] for node in nodes])
-    new = _advance(values, retention, src, dst, deg, deg == 0)
-    return ActivationState(
-        values={node: float(new[index[node]]) for node in nodes}, step=state.step + 1
-    )
+    index = net.index
+    values = np.array([state.values[node] for node in index.nodes])
+    new = _advance(values, retention, index)
+    return ActivationState(values=dict(zip(index.nodes, new.tolist())), step=state.step + 1)
 
 
 def run_to_stationarity(
@@ -113,18 +97,17 @@ def run_to_stationarity(
     _check_retention(retention)
     if seed not in net.nodes:
         raise MissingSeedError(seed)
-    nodes, index, src, dst, deg = _index_network(net)
-    isolated = deg == 0
-    n = float(len(nodes))
-    values = np.zeros(len(nodes))
-    seed_idx = index[seed]
+    index = net.index
+    n = float(len(index.nodes))
+    values = np.zeros(len(index.nodes))
+    seed_idx = index.position[seed]
     values[seed_idx] = n
     series = [n]
     drift = 0.0
     converged = False
     steps = 0
     for steps in range(1, max_iter + 1):
-        new = _advance(values, retention, src, dst, deg, isolated)
+        new = _advance(values, retention, index)
         delta = np.abs(new - values).max()
         drift = max(drift, abs(new.sum() - n))
         values = new
@@ -151,19 +134,13 @@ def stationary_oracle(net, seed):
     """
     if seed not in net.nodes:
         raise MissingSeedError(seed)
-    adj = net.adjacency()
-    if not adj[seed]:
+    index = net.index
+    i = index.position[seed]
+    degree = int(index.degree[i])
+    if not degree:
         return float(net.n_nodes)
-    comp = {seed}
-    stack = [seed]
-    while stack:
-        cur = stack.pop()
-        for nxt in adj[cur]:
-            if nxt not in comp:
-                comp.add(nxt)
-                stack.append(nxt)
-    total_degree = sum(len(adj[u]) for u in comp)
-    return net.n_nodes * len(adj[seed]) / total_degree
+    volume = int(index.degree[index.members(index.component[i])].sum())
+    return net.n_nodes * degree / volume
 
 
 def _isolated_seed_trace(seed, retention, n):
@@ -179,18 +156,15 @@ def _isolated_seed_trace(seed, retention, n):
     )
 
 
-def prompt_alphas(
-    story,
-    nets,
-    retention=DEFAULT_RETENTION,
-    tol=DEFAULT_TOLERANCE,
-    max_iter=DEFAULT_MAX_ITER,
-):
+def prompt_alphas(story, nets, retention=DEFAULT_RETENTION):
     """Per-builder activation traces for the three prompt seeds.
 
     Seeds are the matched prompt nodes; a prompt lemma absent from a
     given builder's network is assigned the full initial mass alpha = N
-    (the isolated-seed rule).  Returns {builder_tag: (trace1, trace2, trace3)}.
+    (the isolated-seed rule).  Alphas are the exact, retention-free limit
+    of `stationary_oracle`, so every trace counts as converged; the series
+    holds at most TRACE_EXPORT_STEPS steps of the diffusion, the part that
+    is exported.  Returns {builder_tag: (trace1, trace2, trace3)}.
     """
     matches = match_prompts(story)
     out = {}
@@ -199,8 +173,11 @@ def prompt_alphas(
         for match in matches:
             seed = match.matched_node if match.matched else match.prompt_lemma
             if seed in net.nodes:
+                trace = run_to_stationarity(
+                    net, seed, retention=retention, max_iter=TRACE_EXPORT_STEPS
+                )
                 traces.append(
-                    run_to_stationarity(net, seed, retention=retention, tol=tol, max_iter=max_iter)
+                    replace(trace, stationary_alpha=stationary_oracle(net, seed), converged=True)
                 )
             else:
                 traces.append(_isolated_seed_trace(seed, retention, net.n_nodes))

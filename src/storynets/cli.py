@@ -7,7 +7,7 @@ config, and every stage writes a manifest with the config hash and input
 digests.
 
 Exit codes: 0 ok, 2 bad input, 3 missing upstream stage output,
-4 numerical non-convergence.
+4 numerical non-convergence (PageRank in `features`).
 """
 
 from __future__ import annotations
@@ -469,35 +469,25 @@ def cmd_features(config):
 def cmd_spread(config):
     paths = _paths(config)
     _require(paths["corpus"], "preprocess")
-    nets = _read_networks(config)
-    stories = {s.id: s for s in _read_corpus(config)}
+    nets_by_story = {}
+    for (story_id, builder), net in _read_networks(config).items():
+        nets_by_story.setdefault(story_id, {})[builder] = net
+    stories = _read_corpus(config)
     outputs = []
     for retention in config.retention:
         traces = {}
-        for story_id, story in stories.items():
-            story_nets = {
-                builder: net
-                for (sid, builder), net in nets.items()
-                if sid == story_id
-            }
+        for story in stories:
+            story_nets = nets_by_story.get(story.id)
             if not story_nets:
                 continue
             per_builder = activation.prompt_alphas(story, story_nets, retention=retention)
             for builder, trace_triple in per_builder.items():
-                traces[(story_id, builder)] = trace_triple
+                traces[(story.id, builder)] = trace_triple
         spath = _stationary_path(config, retention)
         tpath = _trajectory_path(config, retention)
         spath.write_text(activation.stationary_csv(traces), encoding="utf-8")
         tpath.write_text(activation.trajectory_csv(traces), encoding="utf-8")
         outputs.extend([spath, tpath])
-        not_converged = sum(
-            1 for triple in traces.values() for t in triple if not t.converged
-        )
-        if not_converged:
-            raise ConvergenceError(
-                f"{not_converged} activation runs failed to reach stationarity "
-                f"at retention={retention}"
-            )
     _write_manifest(config, "spread", [paths["corpus"], paths["networks"]], outputs)
     return 0
 
@@ -643,7 +633,8 @@ def _write_attributions(config, features, results, target):
     for fold_idx, test_idx in enumerate(folds):
         if remaining <= 0:
             break
-        train_rows = [rows[i] for i in range(len(rows)) if i not in set(test_idx)]
+        held_out = set(test_idx)
+        train_rows = [rows[i] for i in range(len(rows)) if i not in held_out]
         fold_spec = replace(spec, rng_seed=derive_seed(spec.rng_seed, "fold", fold_idx))
         model = fit(fold_spec, train_rows)
         take = [rows[i] for i in test_idx[:remaining]]

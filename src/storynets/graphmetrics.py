@@ -1,7 +1,8 @@
 """Structural descriptors of a lexical network.
 
-Everything is computed with exact algorithms (BFS, triangle counting,
-power iteration); path-based measures operate on the largest connected
+Everything is computed with exact algorithms (breadth-first distances,
+triangle counting, power iteration) over the network's shared
+`GraphIndex`; path-based measures operate on the largest connected
 component, and graphs too degenerate for a measure yield 0 so feature
 rows stay complete.
 """
@@ -10,13 +11,11 @@ from __future__ import annotations
 
 import csv
 import io
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConvergenceError
-from .netbuild import induced_subgraph
 
 STRUCTURAL_FEATURE_NAMES = (
     "n_nodes",
@@ -52,25 +51,8 @@ class StructuralFeatures:
 
 def components(net):
     """Connected components, largest first, ties by smallest member lemma."""
-    adj = net.adjacency()
-    seen = set()
-    comps = []
-    for start in sorted(net.nodes):
-        if start in seen:
-            continue
-        comp = {start}
-        queue = deque([start])
-        seen.add(start)
-        while queue:
-            cur = queue.popleft()
-            for nxt in adj[cur]:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    comp.add(nxt)
-                    queue.append(nxt)
-        comps.append(comp)
-    comps.sort(key=lambda c: (-len(c), min(c)))
-    return comps
+    index = net.index
+    return [{index.nodes[i] for i in index.members(c)} for c in range(index.n_components)]
 
 
 def density(net):
@@ -81,61 +63,45 @@ def density(net):
 
 
 def avg_local_clustering(net):
-    """Mean of 2*t_i / (k_i*(k_i-1)) over nodes of degree >= 2; 0 if none."""
-    adj = net.adjacency()
-    values = []
-    for node, neigh in adj.items():
-        k = len(neigh)
-        if k < 2:
-            continue
-        links = sum(len(neigh & adj[u]) for u in neigh) // 2
-        values.append(2.0 * links / (k * (k - 1)))
-    if not values:
-        return 0.0
-    return sum(values) / len(values)
+    """Mean of 2*t_i / (k_i*(k_i-1)) over nodes of degree >= 2; 0 if none.
 
-
-def _bfs_distances(adj, source):
-    dist = {source: 0}
-    queue = deque([source])
-    while queue:
-        cur = queue.popleft()
-        for nxt in adj[cur]:
-            if nxt not in dist:
-                dist[nxt] = dist[cur] + 1
-                queue.append(nxt)
-    return dist
-
-
-def _lcc(net):
-    comps = components(net)
-    return comps[0] if comps else set()
+    Summed in sorted-node order, so the result does not depend on hashing.
+    """
+    adj = net.index.dense_adjacency()
+    links = ((adj @ adj) * adj).sum(axis=1).astype(np.int64) // 2
+    k = net.index.degree
+    values = (2.0 * links[k >= 2] / (k[k >= 2] * (k[k >= 2] - 1))).tolist()
+    return sum(values) / len(values) if values else 0.0
 
 
 def aspl_lcc(net):
-    """Mean BFS distance over ordered node pairs of the LCC; 0 when |LCC| <= 1."""
-    lcc = _lcc(net)
-    n = len(lcc)
-    if n <= 1:
-        return 0.0
-    adj = net.adjacency()
-    total = 0
-    for node in lcc:
-        dist = _bfs_distances(adj, node)
-        total += sum(d for other, d in dist.items() if other in lcc)
-    return total / (n * (n - 1))
+    """Mean shortest-path distance over ordered node pairs of the LCC; 0 when |LCC| <= 1."""
+    n = net.index.members(0).size
+    total, _ = net.index.lcc_path_lengths
+    return total / (n * (n - 1)) if n > 1 else 0.0
 
 
 def diameter_lcc(net):
-    lcc = _lcc(net)
-    if len(lcc) <= 1:
-        return 0
-    adj = net.adjacency()
-    best = 0
-    for node in lcc:
-        dist = _bfs_distances(adj, node)
-        best = max(best, max(d for other, d in dist.items() if other in lcc))
-    return best
+    return net.index.lcc_path_lengths[1]
+
+
+def _pagerank_rows(index, rows, damping, tol, max_iter):
+    """Power iteration on the graph induced by `rows`, a union of components."""
+    n = rows.size
+    deg = index.degree[rows].astype(float)
+    contrib = np.zeros(len(index.nodes))
+    rank = np.full(n, 1.0 / n)
+    teleport = (1.0 - damping) / n
+    for _ in range(max_iter):
+        contrib[rows] = rank / deg
+        new = teleport + damping * index.neighbour_sum(contrib)[rows]
+        residual = np.abs(new - rank).sum()
+        rank = new
+        if residual < tol:
+            return rank
+    raise ConvergenceError(
+        f"pagerank did not converge within {max_iter} iterations", residual=residual
+    )
 
 
 def pagerank(net, damping=0.85, tol=1e-10, max_iter=1000):
@@ -147,49 +113,33 @@ def pagerank(net, damping=0.85, tol=1e-10, max_iter=1000):
     """
     if not 0 < damping < 1:
         raise ValueError(f"damping must lie in (0, 1), got {damping}")
-    n = net.n_nodes
+    index = net.index
+    n = len(index.nodes)
     if n == 0:
         return {}
     if n == 1:
-        return {next(iter(net.nodes)): 1.0}
-    nodes = sorted(net.nodes)
-    index = {node: i for i, node in enumerate(nodes)}
-    src = np.empty(2 * net.n_edges, dtype=np.int64)
-    dst = np.empty(2 * net.n_edges, dtype=np.int64)
-    for pos, (a, b) in enumerate(sorted(net.edges)):
-        src[2 * pos], dst[2 * pos] = index[a], index[b]
-        src[2 * pos + 1], dst[2 * pos + 1] = index[b], index[a]
-    deg = np.bincount(src, minlength=n).astype(float)
-    if np.any(deg == 0):
+        return {index.nodes[0]: 1.0}
+    if np.any(index.degree == 0):
         raise ValueError("pagerank expects a connected graph; pass the LCC subgraph")
-    rank = np.full(n, 1.0 / n)
-    teleport = (1.0 - damping) / n
-    for _ in range(max_iter):
-        contrib = rank / deg
-        new = teleport + damping * np.bincount(dst, weights=contrib[src], minlength=n)
-        residual = np.abs(new - rank).sum()
-        rank = new
-        if residual < tol:
-            return {node: float(rank[index[node]]) for node in nodes}
-    raise ConvergenceError(
-        f"pagerank did not converge within {max_iter} iterations", residual=residual
-    )
+    rank = _pagerank_rows(index, np.arange(n), damping, tol, max_iter)
+    return dict(zip(index.nodes, rank.tolist()))
 
 
 def pagerank_centralisation(net, damping=0.85, tol=1e-10, max_iter=1000):
     """Mean absolute deviation of LCC PageRank from uniform, over LCC size."""
-    lcc = _lcc(net)
-    n = len(lcc)
+    if not 0 < damping < 1:
+        raise ValueError(f"damping must lie in (0, 1), got {damping}")
+    lcc = net.index.members(0)
+    n = lcc.size
     if n <= 1:
         return 0.0
-    ranks = pagerank(induced_subgraph(net, lcc), damping=damping, tol=tol, max_iter=max_iter)
+    ranks = _pagerank_rows(net.index, lcc, damping, tol, max_iter)
     u = 1.0 / n
-    s = sum(abs(r - u) for r in ranks.values())
+    s = sum(abs(r - u) for r in ranks.tolist())
     return s / n
 
 
 def structural_features(net, damping=0.85):
-    comps = components(net)
     return StructuralFeatures(
         n_nodes=net.n_nodes,
         n_edges=net.n_edges,
@@ -198,7 +148,7 @@ def structural_features(net, damping=0.85):
         aspl_lcc=aspl_lcc(net),
         diameter_lcc=diameter_lcc(net),
         pagerank_centralisation=pagerank_centralisation(net, damping=damping),
-        n_components=len(comps),
+        n_components=net.index.n_components,
     )
 
 

@@ -4,7 +4,6 @@ from .cv import (
     make_folds,
     permutation_baseline,
     permute_columns,
-    rank_results,
     run_matrix,
     select_best,
 )
@@ -53,7 +52,6 @@ __all__ = [
     "planted_linear_data",
     "predict",
     "predict_matrix",
-    "rank_results",
     "run_matrix",
     "select_best",
     "shapley_attribution",

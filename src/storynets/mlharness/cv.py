@@ -195,8 +195,3 @@ def select_best(results, target):
     if not candidates:
         raise ValueError(f"no results for target {target!r}")
     return min(candidates, key=lambda r: (r.mae, -r.spearman))
-
-
-def rank_results(results, target):
-    candidates = [r for r in results if r.target == target and not r.permuted]
-    return sorted(candidates, key=lambda r: (r.mae, -r.spearman))

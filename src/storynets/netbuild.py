@@ -11,6 +11,9 @@ from __future__ import annotations
 import hashlib
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
+
+import numpy as np
 
 from .errors import InputFormatError, ParseIntegrityError
 from .textpipe import filter_content
@@ -32,6 +35,78 @@ VALENCES = ("positive", "negative", "neutral")
 
 def _edge(a, b):
     return (a, b) if a < b else (b, a)
+
+
+@dataclass(frozen=True, eq=False)
+class GraphIndex:
+    """Sorted-node CSR form of a network, read by metrics, PageRank and activation.
+
+    Node `i` is the i-th lemma in sorted order and row `i` of `indptr` /
+    `indices` lists its neighbours in ascending order, so sums over
+    neighbours accumulate in a fixed order.  `component` numbers the
+    connected components largest first, ties broken by smallest member:
+    label 0 is the largest connected component (LCC).
+    """
+
+    nodes: tuple[str, ...]
+    position: dict[str, int]
+    indptr: np.ndarray
+    indices: np.ndarray
+    degree: np.ndarray
+
+    @cached_property
+    def _rows(self):
+        return np.repeat(np.arange(len(self.nodes)), self.degree)
+
+    @cached_property
+    def component(self):
+        # Min-label propagation leaves each node holding its component's
+        # smallest position; components are then ranked by (-size, that).
+        root, previous = np.arange(len(self.nodes)), None
+        while not np.array_equal(root, previous):
+            previous = root.copy()
+            np.minimum.at(root, self._rows, previous[self.indices])
+        roots = np.unique(root)
+        rank = np.empty(len(self.nodes), dtype=np.int64)
+        rank[roots[np.lexsort((roots, -np.bincount(root)[roots]))]] = np.arange(roots.size)
+        return rank[root]
+
+    @property
+    def n_components(self):
+        return int(self.component.max()) + 1 if self.nodes else 0
+
+    def members(self, label):
+        """Sorted positions of the nodes in one component."""
+        return np.flatnonzero(self.component == label)
+
+    def neighbour_sum(self, values):
+        """Per node, the sum of `values` over its neighbours in ascending order."""
+        return np.bincount(self._rows, weights=values[self.indices], minlength=len(self.nodes))
+
+    def dense_adjacency(self):
+        adj = np.zeros((len(self.nodes),) * 2, dtype=np.float32)
+        adj[self._rows, self.indices] = 1.0
+        return adj
+
+    @cached_property
+    def lcc_path_lengths(self):
+        """(Sum of distances over ordered LCC node pairs, LCC diameter).
+
+        One breadth-first pass from every LCC node at once, with a dense
+        boolean frontier; only the two integers are kept.
+        """
+        lcc = self.members(0)
+        reached = np.zeros((lcc.size, len(self.nodes)), dtype=bool)
+        reached[np.arange(lcc.size), lcc] = True
+        frontier, adj = reached.copy(), self.dense_adjacency()
+        total = diameter = 0
+        while True:
+            frontier = (frontier @ adj > 0) & ~reached
+            if not frontier.any():
+                return total, diameter
+            diameter += 1
+            total += diameter * int(frontier.sum())
+            reached |= frontier
 
 
 @dataclass(frozen=True)
@@ -66,6 +141,19 @@ class LexicalNetwork:
     @property
     def n_edges(self):
         return len(self.edges)
+
+    @cached_property
+    def index(self):
+        """The network's `GraphIndex`, built on first use and kept."""
+        nodes = tuple(sorted(self.nodes))
+        position = {node: i for i, node in enumerate(nodes)}
+        pairs = np.array(
+            [(position[a], position[b]) for a, b in self.edges], dtype=np.int64
+        ).reshape(-1, 2)
+        src, dst = np.concatenate([pairs, pairs[:, ::-1]]).T
+        degree = np.bincount(src, minlength=len(nodes))
+        indptr = np.concatenate([[0], np.cumsum(degree)])
+        return GraphIndex(nodes, position, indptr, dst[np.lexsort((dst, src))], degree)
 
     def adjacency(self):
         adj = {node: set() for node in self.nodes}

@@ -178,6 +178,11 @@ def segment_sentences(text, abbreviations=DEFAULT_ABBREVIATIONS):
     return sentences
 
 
+def _is_content(lemma, is_stop, is_pronoun, keep_pronouns):
+    """Alphabetic lemmas only; pronouns only with `keep_pronouns`; no other stop-words."""
+    return lemma.isalpha() and (keep_pronouns if is_pronoun else not is_stop)
+
+
 def tokenize_and_lemmatize(
     sentence,
     lemma_table,
@@ -189,9 +194,8 @@ def tokenize_and_lemmatize(
     """Alphabetic tokens of one sentence, lemmatised and stop-filtered.
 
     Lemmas come from `lemma_table` with fallback to the lowercased
-    surface.  Stop-words are dropped, except pronouns when
-    `keep_pronouns` is set: those bypass the filter so they can act as
-    network nodes.
+    surface.  Pronouns are kept only when `keep_pronouns` is set, whether
+    or not they are stop-words; other stop-words are dropped.
     """
     kept = []
     for surface in _WORD_RE.findall(sentence):
@@ -199,9 +203,8 @@ def tokenize_and_lemmatize(
         lemma = lemma_table.get(lower, lower)
         is_stop = lower in stoplist or lemma in stoplist
         is_pron = lemma in pronouns
-        if is_stop and not (keep_pronouns and is_pron):
-            continue
-        kept.append((surface, lemma, is_stop, is_pron))
+        if _is_content(lemma, is_stop, is_pron, keep_pronouns):
+            kept.append((surface, lemma, is_stop, is_pron))
     return [
         Token(
             surface=surface,
@@ -222,14 +225,7 @@ def filter_content(sentence, keep_pronouns):
     Used to derive the pronoun-free stream from stored sentences and to
     re-filter full CoNLL-U sentences for co-occurrence building.
     """
-    out = []
-    for tok in sentence:
-        if not tok.lemma.isalpha():
-            continue
-        if tok.is_stop and not (keep_pronouns and tok.is_pronoun):
-            continue
-        out.append(tok)
-    return out
+    return [t for t in sentence if _is_content(t.lemma, t.is_stop, t.is_pronoun, keep_pronouns)]
 
 
 def tokenize_text(text, lemma_table, stoplist, pronouns, abbreviations=DEFAULT_ABBREVIATIONS):
@@ -266,21 +262,21 @@ def levenshtein(a, b):
 def match_prompts(story):
     """Check the three prompt lemmas against the story's token stream.
 
-    A prompt counts as present when some token's lemma equals it, or when
-    either the lemma or the surface form is within Levenshtein distance 1
-    (tolerating inflection and minor misspelling).  The matched node is the
-    lemma of the first such token, i.e. a label that exists in the networks.
+    A prompt counts as present when some token's lemma equals it; the
+    matched node is then the prompt itself.  Otherwise the first token
+    whose lemma or surface form is within Levenshtein distance 1 matches
+    (tolerating inflection and minor misspelling), and the matched node is
+    that token's lemma, i.e. a label that exists in the networks.
     """
+    lemmas = {tok.lemma for tok in story.all_tokens()}
     matches = []
     for prompt in story.prompt_lemmas:
-        hit = None
-        for tok in story.all_tokens():
-            if tok.lemma == prompt:
-                hit = tok.lemma
-                break
-            if levenshtein(tok.lemma, prompt) <= 1 or levenshtein(tok.surface.lower(), prompt) <= 1:
-                hit = tok.lemma
-                break
+        near = (
+            tok.lemma
+            for tok in story.all_tokens()
+            if levenshtein(tok.lemma, prompt) <= 1 or levenshtein(tok.surface.lower(), prompt) <= 1
+        )
+        hit = prompt if prompt in lemmas else next(near, None)
         matches.append(PromptMatch(prompt, hit is not None, hit))
     return matches
 

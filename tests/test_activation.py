@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from storynets.activation import (
+    TRACE_EXPORT_STEPS,
     ActivationTrace,
     MissingSeedError,
     init_activation,
@@ -163,9 +164,10 @@ class TestPromptAlphas:
         assert [t.seed for t in tfmn] == ["gloom", "payment", "exist"]
         for t in tfmn:
             assert t.seed_in_network and t.converged
-            assert t.stationary_alpha == pytest.approx(
-                stationary_oracle(nets["TFMN"], t.seed), abs=1e-6
-            )
+            assert t.stationary_alpha == stationary_oracle(nets["TFMN"], t.seed)
+            reference = run_to_stationarity(nets["TFMN"], t.seed)
+            assert t.stationary_alpha == pytest.approx(reference.stationary_alpha, abs=1e-6)
+            assert t.seed_series == reference.seed_series[: TRACE_EXPORT_STEPS + 1]
 
     def test_absent_prompt_gets_full_mass(self, demo_story):
         nets = {"coocc_WS2": build_all_variants(demo_story)["coocc_WS2"]}

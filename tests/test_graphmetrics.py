@@ -1,10 +1,15 @@
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import storynets
 from storynets import graphmetrics
 from storynets.errors import ConvergenceError
 from storynets.graphmetrics import (
@@ -294,6 +299,41 @@ class TestOracleAgreement:
             bigger = make_network(net.nodes, set(net.edges) | {extra})
             assert components(bigger)[0] == lcc
             assert aspl_lcc(bigger) <= before + 1e-12
+
+
+_FEATURES_SCRIPT = """
+import numpy as np
+from storynets.graphmetrics import structural_features
+from storynets.netbuild import make_network
+
+rng = np.random.default_rng(17)
+letters = list("abcdefghijklmnop")
+for _ in range(40):
+    n = int(rng.integers(6, 40))
+    labels = sorted({"".join(rng.choice(letters, size=5)) for _ in range(n)})
+    edges = [
+        (a, b)
+        for i, a in enumerate(labels)
+        for b in labels[i + 1 :]
+        if rng.random() < 0.2
+    ]
+    print(repr(structural_features(make_network(labels, edges))))
+"""
+
+
+class TestDeterminism:
+    def test_features_independent_of_hash_seed(self):
+        src = str(Path(storynets.__file__).resolve().parents[1])
+        outputs = []
+        for hash_seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+            run = subprocess.run(
+                [sys.executable, "-c", _FEATURES_SCRIPT],
+                env=env, capture_output=True, text=True, check=True, timeout=120,
+            )
+            outputs.append(run.stdout)
+        assert outputs[0].count("StructuralFeatures") == 40
+        assert outputs[0] == outputs[1]
 
 
 class TestExports:

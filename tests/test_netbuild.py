@@ -324,3 +324,28 @@ class TestNetworkInvariants:
         assert parsed.nodes == net.nodes
         assert parsed.edges == net.edges
         assert all(parsed.node_valence(n) == net.node_valence(n) for n in net.nodes)
+
+
+class TestGraphIndex:
+    def test_sorted_csr_degrees_and_component_order(self):
+        # components {b, c} and {d, e} tie on size, so the one holding "b" comes
+        # first after the three-node component; "a" is isolated
+        net = make_network(
+            "abcdefgh", [("h", "f"), ("f", "g"), ("c", "b"), ("e", "d"), ("g", "h")]
+        )
+        index = net.index
+        assert index.nodes == tuple("abcdefgh")
+        assert index.position == {node: i for i, node in enumerate("abcdefgh")}
+        rows = [[index.nodes[j] for j in index.indices[index.indptr[i]:index.indptr[i + 1]]]
+                for i in range(8)]
+        assert rows == [[], ["c"], ["b"], ["e"], ["d"], ["g", "h"], ["f", "h"], ["f", "g"]]
+        assert index.degree.tolist() == [0, 1, 1, 1, 1, 2, 2, 2]
+        assert index.component.tolist() == [3, 1, 1, 2, 2, 0, 0, 0]
+        assert index.n_components == 4
+        assert index.lcc_path_lengths == (6, 1)
+        assert net.index is index
+
+    def test_empty_network(self):
+        index = make_network(set(), []).index
+        assert index.nodes == () and index.n_components == 0
+        assert index.lcc_path_lengths == (0, 0)

@@ -78,6 +78,18 @@ class TestTokenize:
         )
         assert [t.lemma for t in toks] == ["like"]
 
+    def test_non_stop_pronouns_follow_the_pronoun_rule(self):
+        # "us" and "mine" are bundled pronouns but not bundled stop-words
+        stoplist = default_stoplist()
+        pronouns = default_pronouns()
+        assert {"us", "mine"} <= pronouns and not {"us", "mine"} & stoplist
+        text = "The lantern showed us mine"
+        full = tokenize_and_lemmatize(text, {}, stoplist, pronouns, True)
+        assert [t.lemma for t in full] == ["lantern", "showed", "us", "mine"]
+        without = tokenize_and_lemmatize(text, {}, stoplist, pronouns, False)
+        assert [t.lemma for t in without] == ["lantern", "showed"]
+        assert textpipe.filter_content(full, keep_pronouns=False) == full[:2]
+
     def test_non_alphabetic_removed(self):
         assert tokenize_and_lemmatize("12 %% !!", {}, set(), set(), False) == []
 
@@ -270,6 +282,12 @@ class TestMatchPrompts:
         story = _story_from_words(["pumps", "hiss"], ("pump", "hiss", "hiss"))
         match = match_prompts(story)[0]
         assert match.matched and match.matched_node == "pumps"
+
+    def test_exact_lemma_beats_earlier_near_miss(self):
+        story = _story_from_words(
+            ["better", "letter", "seek", "week"], ("letter", "week", "seek")
+        )
+        assert [m.matched_node for m in match_prompts(story)] == ["letter", "week", "seek"]
 
     def test_first_matching_token_wins(self):
         story = _story_from_words(["gleam", "gloom"], ("gloom", "gleam", "gleam"))
