@@ -1,0 +1,44 @@
+"""Golden digests: the demo pipeline must reproduce its artifacts byte for byte.
+
+The demo corpus is written with a relative `run.ini` (the generator runs in
+the temporary directory), so the config hash inside `results.json` does not
+depend on where the test runs.  A change that alters any of these files
+updates the digest here and says why in CHANGES.md.
+"""
+
+import hashlib
+import subprocess
+import sys
+from pathlib import Path
+
+from storynets import cli
+
+DEMO_SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "make_demo_corpus.py"
+
+GOLDEN = {
+    "features.csv": "4f22e79b063ea091f58653f61790aa4a8e0342dc310daceeb5c33d85d4a0ef06",
+    "stationary_r0.5.csv": "ce795d75938d815ec398bda1f477b8a325e49e4ea12af696fdcba9905bb2349c",
+    "trajectories_r0.5.csv": "9ee746d6cba77fe5188ea9ddf8d203c1f8e2093f1a98fc534feea02cdbd566d6",
+    "networks.jsonl": "280beb108b02666b8f663896c9e527eadb329402839b873a9e95b51a48118fc7",
+    "emotions.csv": "956ea0a8863256e4c86717e60f854c7e9dd0b00b80e7cc2b4b7ac12261124635",
+    "results.json": "037bc1ab3fdff8ddf87332ab0f628040e71d7688165388de10762641dd5d1d01",
+    "builder_comparison.csv": "4c9857cfbcbc41741ebc6d0af2ecdecf14a52bbd845f0ebf5363953b72bfc7e8",
+    "attributions_mean.csv": "16d2dfa691cd7d09b47bb40758e71adbdbc227350c010018fc2078e87b71fb17",
+}
+
+
+def test_demo_artifacts_match_golden_digests(tmp_path, monkeypatch):
+    subprocess.run(
+        [sys.executable, str(DEMO_SCRIPT), "."],
+        cwd=tmp_path,
+        check=True,
+        capture_output=True,
+    )
+    monkeypatch.chdir(tmp_path)
+    for stage in cli.STAGES:
+        assert cli.main([stage, "--config", "run.ini"]) == 0, stage
+    digests = {
+        name: hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest()
+        for name in GOLDEN
+    }
+    assert digests == GOLDEN
