@@ -19,8 +19,10 @@ import hashlib
 import json
 import logging
 import sys
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
+
+import numpy as np
 
 from . import activation, affect, graphmetrics, netbuild, stats, textpipe
 from .errors import ConvergenceError, InputFormatError, MissingUpstreamError
@@ -28,13 +30,13 @@ from .mlharness import (
     CorpusFeatures,
     ModelSpec,
     attribution_csv,
-    make_folds,
+    fold_models,
     run_matrix,
     select_best,
     shapley_attribution,
 )
 from .mlharness.features import EMOTION_FEATURE_NAMES, FEATURE_CONFIGS
-from .mlharness.models import MODEL_KINDS, fit
+from .mlharness.models import MODEL_KINDS
 from .netbuild import BUILDER_TAGS
 from .seeding import derive_seed
 
@@ -507,14 +509,13 @@ def cmd_emotions(config):
     return 0
 
 
-def _read_features_csv(path):
+def _read_features_csv(path, names):
+    """{builder: {story_id: {name: value}}} for the named features.csv columns."""
     structural = {}
     with open(path, encoding="utf-8", newline="") as fh:
         for row in csv.DictReader(fh):
-            builder = row["builder"]
-            story_id = row["story_id"]
-            structural.setdefault(builder, {})[story_id] = {
-                name: float(row[name]) for name in graphmetrics.STRUCTURAL_FEATURE_NAMES
+            structural.setdefault(row["builder"], {})[row["story_id"]] = {
+                name: float(row[name]) for name in names
             }
     return structural
 
@@ -569,7 +570,9 @@ def cmd_evaluate(config):
     _require(paths["emotions"], "emotions")
     stories = _read_corpus(config)
     features = CorpusFeatures(
-        structural=_read_features_csv(paths["features"]),
+        structural=_read_features_csv(
+            paths["features"], graphmetrics.STRUCTURAL_FEATURE_NAMES
+        ),
         alphas=_read_stationary_csv(_stationary_path(config, retention)),
         emotions=_read_emotions_csv(paths["emotions"]),
         targets=_collect_targets(stories, config.targets),
@@ -620,45 +623,32 @@ def _write_attributions(config, features, results, target):
     shap_max_rows rows in total.
     """
     best = select_best(results, target)
-    rows = features.rows(best.builder_tag, best.config, target)
+    table = features.rows(best.builder_tag, best.config, target)
     spec = ModelSpec(
         kind=best.model_kind,
         hyperparameters=dict(_model_specs(config)[best.model_kind].hyperparameters),
         rng_seed=best.rng_seed,
     )
-    folds = make_folds(len(rows), config.folds, best.rng_seed)
     explained_ids = []
     blocks = []
     remaining = config.shap_max_rows
-    for fold_idx, test_idx in enumerate(folds):
-        if remaining <= 0:
-            break
-        held_out = set(test_idx)
-        train_rows = [rows[i] for i in range(len(rows)) if i not in held_out]
-        fold_spec = replace(spec, rng_seed=derive_seed(spec.rng_seed, "fold", fold_idx))
-        model = fit(fold_spec, train_rows)
-        take = [rows[i] for i in test_idx[:remaining]]
-        result = shapley_attribution(
-            model,
-            take,
-            n_samples=config.shap_samples,
-            rng_seed=derive_seed(config.rng_seed, "shap", target, fold_idx),
-        )
-        explained_ids.extend(r.story_id for r in take)
-        blocks.append(result)
-        remaining -= len(take)
+    if remaining > 0:
+        for fold_idx, test_idx, model in fold_models(table, spec, config.folds, best.rng_seed):
+            take = table[test_idx[:remaining]]
+            result = shapley_attribution(
+                model,
+                take,
+                n_samples=config.shap_samples,
+                rng_seed=derive_seed(config.rng_seed, "shap", target, fold_idx),
+            )
+            explained_ids.extend(take.story_ids)
+            blocks.append(result)
+            remaining -= len(take)
+            if remaining <= 0:
+                break
     path = Path(config.out_dir) / f"attributions_{target}.csv"
     if blocks:
-        import numpy as np
-
-        merged = blocks[0]
-        values = np.vstack([b.values for b in blocks])
-        merged = replace(
-            merged,
-            values=values,
-            predictions=np.concatenate([b.predictions for b in blocks]),
-            additivity_se=np.concatenate([b.additivity_se for b in blocks]),
-        )
+        merged = replace(blocks[0], values=np.vstack([b.values for b in blocks]))
         path.write_text(attribution_csv(explained_ids, merged), encoding="utf-8")
     else:
         path.write_text("story_id\n", encoding="utf-8")
@@ -668,14 +658,9 @@ def _write_attributions(config, features, results, target):
 def cmd_compare_builders(config):
     paths = _paths(config)
     _require(paths["features"], "features")
-    values_by_builder = {}
-    with open(paths["features"], encoding="utf-8", newline="") as fh:
-        for row in csv.DictReader(fh):
-            features = {
-                name: float(row[name])
-                for name in graphmetrics.STRUCTURAL_FEATURE_NAMES + ("n_components",)
-            }
-            values_by_builder.setdefault(row["builder"], {})[row["story_id"]] = features
+    values_by_builder = _read_features_csv(
+        paths["features"], graphmetrics.STRUCTURAL_FEATURE_NAMES + ("n_components",)
+    )
     table = stats.builder_comparison_csv(
         values_by_builder, n_perm=config.n_perm, rng_seed=config.rng_seed
     )

@@ -1,5 +1,6 @@
 from .cv import (
     EvalResult,
+    fold_models,
     kfold_cv,
     make_folds,
     permutation_baseline,
@@ -12,8 +13,7 @@ from .features import (
     EMOTION_FEATURE_NAMES,
     FEATURE_CONFIGS,
     CorpusFeatures,
-    FeatureRow,
-    assemble_features,
+    FeatureTable,
 )
 from .models import (
     DEFAULT_HYPERPARAMETERS,
@@ -22,7 +22,6 @@ from .models import (
     SingularDesignWarning,
     TrainedModel,
     fit,
-    predict,
     predict_matrix,
 )
 from .shapley import ShapleyResult, attribution_csv, shapley_attribution
@@ -36,21 +35,20 @@ __all__ = [
     "MODEL_KINDS",
     "CorpusFeatures",
     "EvalResult",
-    "FeatureRow",
+    "FeatureTable",
     "ModelSpec",
     "ShapleyResult",
     "SingularDesignWarning",
     "TrainedModel",
-    "assemble_features",
     "attribution_csv",
     "fit",
+    "fold_models",
     "kfold_cv",
     "make_folds",
     "permutation_baseline",
     "permute_columns",
     "planted_feature_rows",
     "planted_linear_data",
-    "predict",
     "predict_matrix",
     "run_matrix",
     "select_best",

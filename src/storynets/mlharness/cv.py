@@ -12,7 +12,7 @@ from ..seeding import derive_seed
 from ..stats import mae as mae_score
 from ..stats import pearson, spearman
 from .features import FEATURE_CONFIGS
-from .models import ModelSpec, fit, predict_matrix, rows_to_arrays
+from .models import ModelSpec, fit, predict_matrix
 
 
 @dataclass(frozen=True)
@@ -75,44 +75,46 @@ def make_folds(n_rows, k, rng_seed):
     return folds
 
 
-def kfold_cv(rows, model_spec, k=4, rng_seed=0, permuted=False):
+def fold_models(table, spec, k, rng_seed):
+    """Yield (fold_idx, test_idx, model) for each of k shuffled folds.
+
+    Each model is fitted on the other folds' rows, in table order, with
+    the seed derive_seed(spec.rng_seed, "fold", fold_idx).  Fitting
+    happens as each fold is drawn, so a caller may stop early.
+    """
+    for fold_idx, test_idx in enumerate(make_folds(len(table), k, rng_seed)):
+        train_idx = np.setdiff1d(np.arange(len(table)), test_idx)
+        fold_spec = replace(spec, rng_seed=derive_seed(spec.rng_seed, "fold", fold_idx))
+        yield fold_idx, test_idx, fit(fold_spec, table[train_idx])
+
+
+def kfold_cv(table, model_spec, k=4, rng_seed=0, permuted=False):
     """Out-of-fold evaluation of one (builder, config, model) cell.
 
     Every row lands in exactly one test fold; per-fold MAE / Spearman /
     Pearson are aggregated by plain averaging.  Correlations on folds too
     small to define them (one row) are reported as 0.
     """
-    if not rows:
+    if len(table) == 0:
         raise ValueError("cannot cross-validate an empty feature table")
-    X, y, _ = rows_to_arrays(rows)
-    folds = make_folds(len(rows), k, rng_seed)
     fold_maes = []
     fold_spearmans = []
     fold_pearsons = []
     predictions = {}
-    for fold_idx, test_idx in enumerate(folds):
-        test_mask = np.zeros(len(rows), dtype=bool)
-        test_mask[test_idx] = True
-        train_rows = [rows[i] for i in np.nonzero(~test_mask)[0]]
-        fold_spec = replace(
-            model_spec, rng_seed=derive_seed(model_spec.rng_seed, "fold", fold_idx)
-        )
-        model = fit(fold_spec, train_rows)
-        preds = predict_matrix(model, X[test_idx])
-        truth = y[test_idx]
-        fold_maes.append(mae_score(preds, truth))
-        if truth.size >= 2:
-            fold_spearmans.append(spearman(preds, truth, warn=False))
-            fold_pearsons.append(pearson(preds, truth, warn=False))
+    for _, test_idx, model in fold_models(table, model_spec, k, rng_seed):
+        test = table[test_idx]
+        preds = predict_matrix(model, test.X)
+        fold_maes.append(mae_score(preds, test.y))
+        if len(test) >= 2:
+            fold_spearmans.append(spearman(preds, test.y, warn=False))
+            fold_pearsons.append(pearson(preds, test.y, warn=False))
         else:
             fold_spearmans.append(0.0)
             fold_pearsons.append(0.0)
-        for i, pred in zip(test_idx, preds):
-            predictions[rows[i].story_id] = float(pred)
-    first = rows[0]
+        predictions.update(zip(test.story_ids, preds.tolist()))
     return EvalResult(
-        builder_tag=first.builder_tag,
-        config=first.config,
+        builder_tag=table.builder_tag,
+        config=table.config,
         model_kind=model_spec.kind,
         target="",
         rng_seed=rng_seed,
@@ -127,26 +129,20 @@ def kfold_cv(rows, model_spec, k=4, rng_seed=0, permuted=False):
     )
 
 
-def permute_columns(rows, rng_seed):
-    """Independently shuffle every feature column; targets stay put."""
-    if not rows:
-        return []
-    names = rows[0].names()
+def permute_columns(table, rng_seed):
+    """Independently shuffle every feature column; targets stay put.
+
+    Columns draw their permutations in table order.
+    """
     rng = np.random.default_rng(rng_seed)
-    columns = {
-        name: [rows[i].features[name] for i in rng.permutation(len(rows))]
-        for name in names
-    }
-    return [
-        replace(row, features={name: columns[name][i] for name in names})
-        for i, row in enumerate(rows)
-    ]
+    X = np.column_stack([column[rng.permutation(len(table))] for column in table.X.T])
+    return replace(table, X=X)
 
 
-def permutation_baseline(rows, model_spec, k=4, rng_seed=0):
+def permutation_baseline(table, model_spec, k=4, rng_seed=0):
     """The identical CV protocol on column-permuted features."""
-    permuted_rows = permute_columns(rows, derive_seed(rng_seed, "column-permutation"))
-    return kfold_cv(permuted_rows, model_spec, k=k, rng_seed=rng_seed, permuted=True)
+    permuted = permute_columns(table, derive_seed(rng_seed, "column-permutation"))
+    return kfold_cv(permuted, model_spec, k=k, rng_seed=rng_seed, permuted=True)
 
 
 def run_matrix(
@@ -172,7 +168,7 @@ def run_matrix(
     for target in targets:
         for builder in builders:
             for config in configs:
-                rows = features.rows(builder, config, target)
+                table = features.rows(builder, config, target)
                 for kind, spec in model_specs.items():
                     cell_seed = derive_seed(rng_seed, target, builder, config, kind)
                     cell_spec = ModelSpec(
@@ -180,10 +176,10 @@ def run_matrix(
                         hyperparameters=dict(spec.hyperparameters),
                         rng_seed=cell_seed,
                     )
-                    result = kfold_cv(rows, cell_spec, k=k, rng_seed=cell_seed)
+                    result = kfold_cv(table, cell_spec, k=k, rng_seed=cell_seed)
                     results.append(replace(result, target=target))
                     if with_baseline:
-                        baseline = permutation_baseline(rows, cell_spec, k=k, rng_seed=cell_seed)
+                        baseline = permutation_baseline(table, cell_spec, k=k, rng_seed=cell_seed)
                         results.append(replace(baseline, target=target))
     return results
 

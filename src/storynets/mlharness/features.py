@@ -1,4 +1,4 @@
-"""Feature-vector assembly for the regression harness.
+"""Feature tables for the regression harness.
 
 Seven predictor configurations over three feature families: the seven
 structural descriptors, the three prompt-seeded stationary activations,
@@ -7,7 +7,9 @@ and the eight emotion z-scores.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+
+import numpy as np
 
 from ..affect import PLUTCHIK_EMOTIONS
 from ..graphmetrics import STRUCTURAL_FEATURE_NAMES
@@ -36,45 +38,45 @@ _CONFIG_BLOCKS = {
     "All": ("structural", "alphas", "emotions"),
 }
 
+_BLOCK_NAMES = {
+    "structural": STRUCTURAL_FEATURE_NAMES,
+    "alphas": ALPHA_FEATURE_NAMES,
+    "emotions": EMOTION_FEATURE_NAMES,
+}
+
 
 @dataclass(frozen=True)
-class FeatureRow:
-    story_id: str
+class FeatureTable:
+    """One design matrix: a row per story, a column per named feature.
+
+    Indexing with a slice or an integer index array returns the sub-table
+    of those rows.
+    """
+
+    story_ids: tuple[str, ...]
+    names: tuple[str, ...]
+    X: np.ndarray  # (n_rows, n_features)
+    y: np.ndarray  # (n_rows,) regression target
     builder_tag: str
     config: str
-    features: dict[str, float]
-    target: float
 
-    def names(self):
-        return tuple(self.features)
+    def __post_init__(self):
+        n_rows, n_features = len(self.story_ids), len(self.names)
+        if self.X.shape != (n_rows, n_features) or self.y.shape != (n_rows,):
+            raise ValueError(
+                f"feature table of {n_rows} stories x {n_features} feature names "
+                f"cannot hold X {self.X.shape} and y {self.y.shape}"
+            )
 
-    def vector(self):
-        return [self.features[name] for name in self.features]
+    def __len__(self):
+        return len(self.story_ids)
 
-
-def assemble_features(structural, alphas, emotions, config):
-    """Concatenate the requested feature blocks into one ordered mapping.
-
-    `structural` maps the seven descriptor names to values, `alphas` is the
-    (alpha1, alpha2, alpha3) triple, `emotions` maps emotion names (or
-    `z_<emotion>` column names) to z-scores.
-    """
-    if config not in _CONFIG_BLOCKS:
-        raise ValueError(f"unknown feature configuration {config!r}")
-    out: dict[str, float] = {}
-    for block in _CONFIG_BLOCKS[config]:
-        if block == "structural":
-            for name in STRUCTURAL_FEATURE_NAMES:
-                out[name] = float(structural[name])
-        elif block == "alphas":
-            if len(alphas) != 3:
-                raise ValueError("expected exactly three stationary activation values")
-            for name, value in zip(ALPHA_FEATURE_NAMES, alphas):
-                out[name] = float(value)
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            story_ids = self.story_ids[index]
         else:
-            for emotion, name in zip(PLUTCHIK_EMOTIONS, EMOTION_FEATURE_NAMES):
-                out[name] = float(emotions[name] if name in emotions else emotions[emotion])
-    return out
+            story_ids = tuple(self.story_ids[i] for i in index)
+        return replace(self, story_ids=story_ids, X=self.X[index], y=self.y[index])
 
 
 @dataclass(frozen=True)
@@ -83,7 +85,7 @@ class CorpusFeatures:
 
     structural: {builder: {story_id: {name: value}}}
     alphas:     {builder: {story_id: (a1, a2, a3)}}
-    emotions:   {story_id: {name: value}}
+    emotions:   {story_id: {z_<emotion>: value}}
     targets:    {target_name: {story_id: value}}
     """
 
@@ -93,24 +95,33 @@ class CorpusFeatures:
     targets: dict = field(default_factory=dict)
 
     def rows(self, builder, config, target):
+        """The FeatureTable of one (builder, config, target) cell, stories sorted by id."""
         if target not in self.targets:
             raise KeyError(f"unknown target column {target!r}")
+        if config not in _CONFIG_BLOCKS:
+            raise ValueError(f"unknown feature configuration {config!r}")
         structural = self.structural.get(builder, {})
         alphas = self.alphas.get(builder, {})
         target_map = self.targets[target]
-        story_ids = sorted(set(structural) & set(alphas) & set(self.emotions) & set(target_map))
-        rows = []
-        for story_id in story_ids:
-            features = assemble_features(
-                structural[story_id], alphas[story_id], self.emotions[story_id], config
-            )
-            rows.append(
-                FeatureRow(
-                    story_id=story_id,
-                    builder_tag=builder,
-                    config=config,
-                    features=features,
-                    target=float(target_map[story_id]),
-                )
-            )
-        return rows
+        story_ids = tuple(
+            sorted(set(structural) & set(alphas) & set(self.emotions) & set(target_map))
+        )
+        blocks = _CONFIG_BLOCKS[config]
+        block_values = {
+            "structural": lambda s: [structural[s][name] for name in STRUCTURAL_FEATURE_NAMES],
+            "alphas": lambda s: alphas[s],
+            "emotions": lambda s: [self.emotions[s][name] for name in EMOTION_FEATURE_NAMES],
+        }
+        names = tuple(name for block in blocks for name in _BLOCK_NAMES[block])
+        X = np.array(
+            [[v for block in blocks for v in block_values[block](s)] for s in story_ids],
+            dtype=float,
+        )
+        return FeatureTable(
+            story_ids=story_ids,
+            names=names,
+            X=X.reshape(len(story_ids), len(names)),  # keeps an empty table 2-D
+            y=np.array([target_map[s] for s in story_ids], dtype=float),
+            builder_tag=builder,
+            config=config,
+        )

@@ -110,21 +110,9 @@ class TrainedModel:
     background: np.ndarray  # raw training design, Shapley background set
 
 
-def rows_to_arrays(rows):
-    names = rows[0].names()
-    for row in rows:
-        if row.names() != names:
-            raise ValueError("feature name sets differ across rows of one table")
-    X = np.array([row.vector() for row in rows], dtype=float)
-    y = np.array([row.target for row in rows], dtype=float)
-    return X, y, names
-
-
-def fit(spec, rows):
-    """Train `spec` on FeatureRows; scaling statistics come from these rows only."""
-    if not rows:
-        raise ValueError("cannot fit on an empty table")
-    X, y, names = rows_to_arrays(rows)
+def fit(spec, table):
+    """Train `spec` on a FeatureTable; scaling statistics come from its rows only."""
+    X, y = table.X, table.y
     minimum = 5
     if spec.kind == "knn":
         minimum = max(minimum, spec.hyperparameters["n_neighbors"])
@@ -177,7 +165,7 @@ def fit(spec, rows):
             )
         )
     return TrainedModel(
-        spec=spec, feature_names=names, estimator=estimator, scaler=scaler, background=X
+        spec=spec, feature_names=table.names, estimator=estimator, scaler=scaler, background=X
     )
 
 
@@ -186,15 +174,6 @@ def predict_matrix(model, X):
     if model.scaler is not None:
         X = model.scaler.transform(X)
     return model.estimator.predict(X)
-
-
-def predict(model, row):
-    """Predict one FeatureRow (or bare feature vector)."""
-    if hasattr(row, "features"):
-        vec = [row.features[name] for name in model.feature_names]
-    else:
-        vec = row
-    return float(predict_matrix(model, np.asarray(vec, dtype=float)[None, :])[0])
 
 
 @dataclass

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .features import FeatureTable
 from .models import predict_matrix
 
 MIN_SAMPLES = 100
@@ -31,13 +32,17 @@ class ShapleyResult:
 def shapley_attribution(model, rows, n_samples=2000, rng_seed=0, background=None):
     """Per-row, per-feature attribution matrix for a trained model.
 
-    `rows` may be FeatureRows or a raw (n_rows, n_features) array in the
-    model's feature order.  The background defaults to the model's
-    training design.
+    `rows` is a FeatureTable with the model's feature names or a raw
+    (n_rows, n_features) array in the model's feature order.  The
+    background defaults to the model's training design.
     """
     if n_samples < MIN_SAMPLES:
         raise ValueError(f"n_samples must be >= {MIN_SAMPLES} for a usable estimate")
-    X = _as_matrix(model, rows)
+    if isinstance(rows, FeatureTable):
+        if rows.names != model.feature_names:
+            raise ValueError("feature table columns differ from the model's features")
+        rows = rows.X
+    X = np.asarray(rows, dtype=float)
     bg = model.background if background is None else np.asarray(background, dtype=float)
     if bg.ndim != 2 or bg.shape[1] != X.shape[1]:
         raise ValueError("background must be a matrix with the model's feature count")
@@ -55,15 +60,6 @@ def shapley_attribution(model, rows, n_samples=2000, rng_seed=0, background=None
         base_value=base_value,
         predictions=np.asarray(predictions, dtype=float),
         additivity_se=additivity_se,
-    )
-
-
-def _as_matrix(model, rows):
-    if isinstance(rows, np.ndarray):
-        return np.asarray(rows, dtype=float)
-    return np.array(
-        [[row.features[name] for name in model.feature_names] for row in rows],
-        dtype=float,
     )
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .features import FeatureRow
+from .features import FeatureTable
 
 
 def planted_linear_data(n_rows=400, n_features=18, noise=0.1, rng_seed=0):
@@ -23,16 +23,14 @@ def planted_linear_data(n_rows=400, n_features=18, noise=0.1, rng_seed=0):
 
 
 def planted_feature_rows(n_rows=400, n_features=18, noise=0.1, rng_seed=0):
+    """Returns (FeatureTable, coef) over the planted_linear_data draw."""
     X, y, coef = planted_linear_data(n_rows, n_features, noise, rng_seed)
-    names = [f"f{i:02d}" for i in range(n_features)]
-    rows = [
-        FeatureRow(
-            story_id=f"synth-{i:04d}",
-            builder_tag="synthetic",
-            config="All",
-            features={name: float(v) for name, v in zip(names, X[i])},
-            target=float(y[i]),
-        )
-        for i in range(n_rows)
-    ]
-    return rows, coef
+    table = FeatureTable(
+        story_ids=tuple(f"synth-{i:04d}" for i in range(n_rows)),
+        names=tuple(f"f{i:02d}" for i in range(n_features)),
+        X=X,
+        y=y,
+        builder_tag="synthetic",
+        config="All",
+    )
+    return table, coef

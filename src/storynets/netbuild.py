@@ -436,24 +436,3 @@ def graphml(net):
     out.append("  </graph>")
     out.append("</graphml>")
     return "\n".join(out) + "\n"
-
-
-def parse_graphml(text):
-    """Read back the GraphML written by `graphml` (round-trip helper)."""
-    import xml.etree.ElementTree as ET
-
-    ns = {"g": "http://graphml.graphdrawing.org/xmlns"}
-    root = ET.fromstring(text)
-    graph = root.find("g:graph", ns)
-    nodes = set()
-    valence = {}
-    edges = set()
-    for node in graph.findall("g:node", ns):
-        nid = node.attrib["id"]
-        nodes.add(nid)
-        data = node.find("g:data", ns)
-        if data is not None and data.text:
-            valence[nid] = data.text
-    for edge in graph.findall("g:edge", ns):
-        edges.add(_edge(edge.attrib["source"], edge.attrib["target"]))
-    return make_network(nodes, edges, valence=valence)

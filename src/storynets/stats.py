@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import csv
 import io
-import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -176,34 +175,6 @@ def wilcoxon_signed_rank(x, y, alternative="two-sided"):
         else:
             p = cdf(statistic)
     return TestResult(statistic, p, n, method, alternative)
-
-
-def wilcoxon_exact_enumeration(x, y, alternative="two-sided"):
-    """Brute-force 2^n reference for the exact path (test oracle)."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    d = x - y
-    d = d[d != 0]
-    n = d.size
-    if n == 0:
-        return TestResult(0.0, 1.0, 0, "wilcoxon-enumeration", alternative)
-    ranks = _average_ranks(np.abs(d))
-    w_plus = float(ranks[d > 0].sum())
-    w_minus = float(ranks[d < 0].sum())
-    sums = np.array(
-        [sum(r for r, bit in zip(ranks, bits) if bit) for bits in itertools.product((0, 1), repeat=n)]
-    )
-    eps = 1e-9
-    if alternative == "two-sided":
-        statistic = min(w_plus, w_minus)
-        p = min(1.0, 2.0 * float(np.mean(sums <= statistic + eps)))
-    elif alternative == "less":
-        statistic = w_plus
-        p = float(np.mean(sums <= statistic + eps))
-    else:
-        statistic = w_minus
-        p = float(np.mean(sums <= statistic + eps))
-    return TestResult(statistic, p, int(n), "wilcoxon-enumeration", alternative)
 
 
 def pearson(x, y, warn=True):

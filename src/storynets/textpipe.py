@@ -472,12 +472,18 @@ def story_from_json(line):
     )
 
 
+# Story ids name files as edges/<story>__<builder>.csv.
+_UNSAFE_ID_PARTS = ("/", "\\", "\0", "__")
+
+
 def read_stories_csv(path, lemma_table, stoplist, pronouns, conllu_sentences=None):
     """Build Story objects from the corpus CSV.
 
     Expected columns: id, prompt1..prompt3, text, then one column per
     rater.  When `conllu_sentences` supplies a parse for a story id, the
-    parsed sentences replace the plain-text tokenisation.
+    parsed sentences replace the plain-text tokenisation.  Story ids
+    must be safe file names: an empty id, or one with a path separator,
+    NUL or `__`, is an InputFormatError.
     """
     stories = []
     with open(path, encoding="utf-8", newline="") as fh:
@@ -500,6 +506,11 @@ def read_stories_csv(path, lemma_table, stoplist, pronouns, conllu_sentences=Non
                     f"{path}: row {rowno}: expected {len(header)} cells, got {len(row)}"
                 )
             story_id = row[0].strip()
+            if not story_id or any(part in story_id for part in _UNSAFE_ID_PARTS):
+                raise InputFormatError(
+                    f"{path}: row {rowno}: story id {story_id!r} is not a safe file name "
+                    "(empty, or contains '/', '\\', NUL or the '__' separator)"
+                )
             if story_id in seen_ids:
                 raise InputFormatError(f"{path}: row {rowno}: duplicate story id {story_id!r}")
             seen_ids.add(story_id)

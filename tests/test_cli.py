@@ -4,9 +4,12 @@ import json
 import numpy as np
 import pytest
 
+from storynets import cli
 from storynets.cli import config_hash, main, resolve_config
+from storynets.mlharness import ModelSpec, cv, run_matrix
 
 from conftest import DEMO_STORY_CONLLU, DEMO_STORY_TEXT, LEXICON_TSV
+from test_cv import small_features
 
 WORD_POOL = [
     "river", "stone", "lantern", "market", "violin", "garden", "letter",
@@ -330,6 +333,20 @@ class TestExitCodes:
                     (t.lemma, t.upos, t.head_index, t.deprel) for t in s1
                 ] == [(t.lemma, t.upos, t.head_index, t.deprel) for t in s2]
 
+    @pytest.mark.parametrize(
+        "story_id", ["", "a/b", "../../escaped", "a\\b", "a\0b", "a__b"]
+    )
+    def test_unsafe_story_id_is_bad_input(self, tmp_path, story_id):
+        stories_csv = tmp_path / "unsafe.csv"
+        with open(stories_csv, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(["id", "prompt1", "prompt2", "prompt3", "text", "R"])
+            writer.writerow(["ok", "cat", "dog", "sun", "Cat dog sun walk.", "3"])
+            writer.writerow([story_id, "cat", "dog", "sun", "Cat dog sun walk.", "3"])
+        out = tmp_path / "out_unsafe"
+        assert main(["preprocess", "--stories-csv", str(stories_csv), "--out-dir", str(out)]) == 2
+        assert not (out / "corpus.jsonl").exists()
+
     def test_tfmn_without_parse_is_bad_input(self, tmp_path):
         stories_csv = tmp_path / "plain.csv"
         with open(stories_csv, "w", newline="", encoding="utf-8") as fh:
@@ -340,3 +357,43 @@ class TestExitCodes:
         assert main(["preprocess", "--stories-csv", str(stories_csv), "--out-dir", str(out)]) == 0
         assert main(["build", "--out-dir", str(out)]) == 2
         assert main(["build", "--out-dir", str(out), "--builders", "coocc_WS2"]) == 0
+
+
+class TestAttributionFolds:
+    """`_write_attributions` walks `cv.fold_models` and stops at its row budget."""
+
+    def _run(self, tmp_path, monkeypatch, shap_max_rows):
+        features = small_features()  # 45 stories: three folds of 15
+        results = run_matrix(
+            features, ["mean"], ["TFMN"], ["NetStr"], {"linear": ModelSpec("linear")},
+            k=3, rng_seed=1,
+        )
+        config = cli.RunConfig(
+            out_dir=str(tmp_path), models=("linear",), folds=3,
+            shap_samples=100, shap_max_rows=shap_max_rows,
+        )
+        fitted = []
+        real_fit = cv.fit
+
+        def counting_fit(spec, table):
+            fitted.append(len(table))
+            return real_fit(spec, table)
+
+        monkeypatch.setattr(cv, "fit", counting_fit)
+        path = cli._write_attributions(config, features, results, "mean")
+        return fitted, path.read_text(encoding="utf-8").splitlines()
+
+    def test_budget_inside_one_fold_fits_one_model(self, tmp_path, monkeypatch):
+        fitted, lines = self._run(tmp_path, monkeypatch, shap_max_rows=4)
+        assert fitted == [30]
+        assert len(lines) == 1 + 4
+
+    def test_budget_across_folds_stops_when_spent(self, tmp_path, monkeypatch):
+        fitted, lines = self._run(tmp_path, monkeypatch, shap_max_rows=20)
+        assert fitted == [30, 30]
+        assert len(lines) == 1 + 20
+
+    def test_no_budget_writes_header_only(self, tmp_path, monkeypatch):
+        fitted, lines = self._run(tmp_path, monkeypatch, shap_max_rows=0)
+        assert fitted == []
+        assert lines == ["story_id"]

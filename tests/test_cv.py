@@ -6,9 +6,10 @@ from hypothesis import strategies as st
 from storynets.mlharness import (
     CorpusFeatures,
     EvalResult,
-    FeatureRow,
+    FeatureTable,
     ModelSpec,
     fit,
+    fold_models,
     kfold_cv,
     make_folds,
     permutation_baseline,
@@ -71,16 +72,20 @@ class TestKfoldCV:
     def test_every_story_predicted_once(self):
         rows, _ = planted_feature_rows(n_rows=37, n_features=2, noise=0.2, rng_seed=4)
         result = kfold_cv(rows, ModelSpec("linear"), k=4, rng_seed=6)
-        assert set(result.predictions) == {r.story_id for r in rows}
+        assert set(result.predictions) == set(rows.story_ids)
 
     def test_no_leakage_into_scaler(self):
         # an extreme outlier placed in a test fold must not touch the
         # training-side standardisation of that fold's model
-        rows, _ = planted_feature_rows(n_rows=24, n_features=2, noise=0.0, rng_seed=5)
-        outlier = FeatureRow(
-            "outlier", "synthetic", "All", {"f00": 1e6, "f01": -1e6}, 0.0
+        planted, _ = planted_feature_rows(n_rows=24, n_features=2, noise=0.0, rng_seed=5)
+        rows = FeatureTable(
+            story_ids=planted.story_ids + ("outlier",),
+            names=planted.names,
+            X=np.vstack([planted.X, [[1e6, -1e6]]]),
+            y=np.append(planted.y, 0.0),
+            builder_tag="synthetic",
+            config="All",
         )
-        rows = rows + [outlier]
         k, seed = 5, 11
         result = kfold_cv(rows, ModelSpec("linear"), k=k, rng_seed=seed)
         folds = make_folds(len(rows), k, seed)
@@ -88,15 +93,47 @@ class TestKfoldCV:
             i for i, fold in enumerate(folds) if (len(rows) - 1) in fold.tolist()
         )
         test_idx = folds[outlier_fold]
-        train_rows = [rows[i] for i in range(len(rows)) if i not in set(test_idx.tolist())]
+        train_rows = rows[[i for i in range(len(rows)) if i not in set(test_idx.tolist())]]
         manual_spec = ModelSpec("linear", rng_seed=derive_seed(0, "fold", outlier_fold))
         manual = fit(manual_spec, train_rows)
-        assert not any(r.story_id == "outlier" for r in train_rows)
+        assert "outlier" not in train_rows.story_ids
         assert np.all(np.abs(manual.scaler.mean) < 1e3)  # untouched by the 1e6 outlier
-        X_test = np.array([[rows[i].features["f00"], rows[i].features["f01"]] for i in test_idx])
-        preds = predict_matrix(manual, X_test)
+        preds = predict_matrix(manual, rows.X[test_idx])
         for i, pred in zip(test_idx, preds):
-            assert result.predictions[rows[i].story_id] == pytest.approx(pred, abs=1e-12)
+            assert result.predictions[rows.story_ids[i]] == pytest.approx(pred, abs=1e-12)
+
+
+class TestFeatureTable:
+    def test_slice_and_index_array_select_rows(self):
+        table, _ = planted_feature_rows(n_rows=10, n_features=3, noise=0.1, rng_seed=12)
+        head = table[:4]
+        assert head.story_ids == table.story_ids[:4]
+        assert np.array_equal(head.X, table.X[:4]) and np.array_equal(head.y, table.y[:4])
+        picked = table[np.array([7, 2])]
+        assert picked.story_ids == (table.story_ids[7], table.story_ids[2])
+        assert np.array_equal(picked.X, table.X[[7, 2]])
+        assert (picked.names, picked.builder_tag, picked.config) == (
+            table.names, table.builder_tag, table.config
+        )
+
+    def test_target_length_checked(self):
+        table, _ = planted_feature_rows(n_rows=10, n_features=3, noise=0.1, rng_seed=13)
+        with pytest.raises(ValueError, match="feature table"):
+            FeatureTable(table.story_ids, table.names, table.X, table.y[:-1], "synthetic", "All")
+
+
+class TestFoldModels:
+    @pytest.mark.parametrize("kind", ["linear", "gradient_boosting"])
+    def test_fold_models_reproduce_kfold_predictions(self, kind):
+        table, _ = planted_feature_rows(n_rows=50, n_features=4, noise=0.3, rng_seed=14)
+        spec = ModelSpec(kind, SMALL[kind], rng_seed=21)
+        result = kfold_cv(table, spec, k=4, rng_seed=8)
+        seen = []
+        for fold_idx, test_idx, model in fold_models(table, spec, 4, 8):
+            seen.append(fold_idx)
+            preds = predict_matrix(model, table.X[test_idx])
+            assert preds.tolist() == [result.predictions[table.story_ids[i]] for i in test_idx]
+        assert seen == [0, 1, 2, 3]
 
 
 class TestPermutationBaseline:
@@ -106,14 +143,14 @@ class TestPermutationBaseline:
         X[:, 1] = 4.2
         rows = rows_from_arrays(X, X[:, 0])
         permuted = permute_columns(rows, rng_seed=8)
-        assert all(r.features["f01"] == 4.2 for r in permuted)
-        assert {r.features["f00"] for r in permuted} == {r.features["f00"] for r in rows}
+        assert np.all(permuted.X[:, 1] == 4.2)
+        assert set(permuted.X[:, 0].tolist()) == set(rows.X[:, 0].tolist())
 
     def test_targets_untouched(self):
         rows, _ = planted_feature_rows(n_rows=30, n_features=3, noise=0.1, rng_seed=7)
         result = permutation_baseline(rows, ModelSpec("linear"), k=3, rng_seed=9)
         assert result.permuted
-        assert set(result.predictions) == {r.story_id for r in rows}
+        assert set(result.predictions) == set(rows.story_ids)
 
     def test_baseline_destroys_signal(self):
         rows, _ = planted_feature_rows(n_rows=200, n_features=6, noise=0.1, rng_seed=8)
@@ -212,7 +249,7 @@ class TestRunMatrix:
         for config, expected in (("NetStr", 7), ("Spread", 3), ("Emotions", 8), ("All", 18),
                                  ("NetStr+Spread", 10), ("NetStr+Emo", 15), ("Emo+Spread", 11)):
             rows = features.rows("TFMN", config, "mean")
-            assert len(rows[0].features) == expected, config
+            assert rows.X.shape == (45, expected) and len(rows.names) == expected, config
 
     def test_unknown_config_and_target(self):
         features = small_features()

@@ -3,27 +3,24 @@ import pytest
 
 from storynets.mlharness import (
     MODEL_KINDS,
-    FeatureRow,
+    FeatureTable,
     ModelSpec,
     SingularDesignWarning,
     fit,
-    predict,
     predict_matrix,
 )
 
 
 def rows_from_arrays(X, y, names=None):
-    names = names or [f"f{i:02d}" for i in range(X.shape[1])]
-    return [
-        FeatureRow(
-            story_id=f"s{i:03d}",
-            builder_tag="synthetic",
-            config="All",
-            features={n: float(v) for n, v in zip(names, X[i])},
-            target=float(y[i]),
-        )
-        for i in range(X.shape[0])
-    ]
+    X = np.asarray(X, dtype=float)
+    return FeatureTable(
+        story_ids=tuple(f"s{i:03d}" for i in range(X.shape[0])),
+        names=tuple(names or (f"f{i:02d}" for i in range(X.shape[1]))),
+        X=X,
+        y=np.asarray(y, dtype=float),
+        builder_tag="synthetic",
+        config="All",
+    )
 
 
 SMALL = {
@@ -131,10 +128,10 @@ class TestAllModels:
             fit(ModelSpec("linear"), rows_from_arrays(X[:3], y[:3]))
 
     def test_feature_name_mismatch_rejected(self):
-        rows = rows_from_arrays(np.zeros((6, 2)), np.zeros(6))
-        bad = FeatureRow("x", "synthetic", "All", {"weird": 1.0, "names": 2.0}, 0.0)
+        # one name set per table: a name list that does not match the
+        # columns is refused when the table is built
         with pytest.raises(ValueError, match="feature name"):
-            fit(ModelSpec("linear"), rows + [bad])
+            rows_from_arrays(np.zeros((6, 2)), np.zeros(6), names=["weird", "names", "extra"])
 
 
 class TestKNN:
@@ -142,13 +139,13 @@ class TestKNN:
         X = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [3.0, 3.0], [4.0, 4.0]])
         y = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
         model = fit(ModelSpec("knn", {"n_neighbors": 3}), rows_from_arrays(X, y))
-        assert predict(model, [1.0, 1.0]) == pytest.approx(2.0)
+        assert predict_matrix(model, [[1.0, 1.0]])[0] == pytest.approx(2.0)
 
     def test_distance_weighting_prefers_nearer(self):
         X = np.array([[0.0], [10.0], [1.6], [-10.0], [20.0]])
         y = np.array([1.0, 5.0, 1.0, 5.0, 5.0])
         model = fit(ModelSpec("knn", {"n_neighbors": 5}), rows_from_arrays(X, y))
-        assert predict(model, [0.1]) < 3.0
+        assert predict_matrix(model, [[0.1]])[0] < 3.0
 
     def test_trained_scaler_exposed(self):
         rng = np.random.default_rng(8)

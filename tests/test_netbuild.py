@@ -17,6 +17,7 @@ from storynets.netbuild import (
 )
 
 from conftest import make_sentence, make_token
+from oracles import parse_graphml
 
 CHILD_PLAY = make_sentence(["child", "play", "football", "game"])
 
@@ -320,7 +321,7 @@ class TestNetworkInvariants:
         lines = netbuild.edge_list_csv(net).splitlines()
         assert lines[0] == "source,target"
         assert lines[1:] == sorted(lines[1:])
-        parsed = netbuild.parse_graphml(netbuild.graphml(net))
+        parsed = parse_graphml(netbuild.graphml(net))
         assert parsed.nodes == net.nodes
         assert parsed.edges == net.edges
         assert all(parsed.node_valence(n) == net.node_valence(n) for n in net.nodes)

@@ -13,9 +13,10 @@ from storynets.stats import (
     paired_signflip_test,
     pearson,
     spearman,
-    wilcoxon_exact_enumeration,
     wilcoxon_signed_rank,
 )
+
+from oracles import wilcoxon_exact_enumeration
 
 
 class TestSignFlip:
