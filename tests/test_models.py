@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from storynets.mlharness import (
     ModelSpec,
     SingularDesignWarning,
     fit,
+    planted_feature_rows,
     predict_matrix,
 )
 
@@ -176,3 +179,23 @@ class TestTreesRawFeatures:
         y = np.sin(3 * X[:, 0])
         model = fit(ModelSpec("decision_tree", {"max_depth": 1}), rows_from_arrays(X, y))
         assert len(set(predict_matrix(model, X).tolist())) <= 2
+
+
+# sha256 of the float64 predictions below, taken from the code as committed;
+# a refactor of any model must leave every kind's predictions bit-identical
+PREDICTION_DIGESTS = {
+    "linear": "655f9b282126c0deae15453d9b66ad9b87b45763fe8d039a8de7ed843b8a8660",
+    "knn": "5d0c2b7e6fe851c612a2966acc7eff2dea68e963a9f9094c8d95b5ba031cc765",
+    "decision_tree": "be48f6c1818f81987a738d3e5ec23b38cc3d9c493bbee9f50b5639e4b6ca4f12",
+    "random_forest": "9910965fd1ef9c90a9134d16b9635a57512a03820439c552a8b26132b99c601a",
+    "gradient_boosting": "3499842e0e808d90e11e5831c47bdec4e726eb41aa997ff8b4f5406578308bac",
+}
+
+
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_predictions_match_committed_digest(kind):
+    rows, _ = planted_feature_rows(rng_seed=0)
+    hp = {"random_forest": {"n_estimators": 7}, "gradient_boosting": {"n_estimators": 40}}
+    model = fit(ModelSpec(kind, hp.get(kind, {}), rng_seed=11), rows[100:])
+    preds = predict_matrix(model, rows[:100].X)
+    assert hashlib.sha256(preds.tobytes()).hexdigest() == PREDICTION_DIGESTS[kind]
