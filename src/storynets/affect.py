@@ -12,9 +12,9 @@ from __future__ import annotations
 import csv
 import io
 import math
-from collections import deque
 from dataclasses import dataclass
 
+from . import netbuild
 from .errors import InputFormatError
 
 PLUTCHIK_EMOTIONS = (
@@ -122,8 +122,9 @@ def detect_negations(sentence, cues=DEFAULT_NEGATION_CUES):
 
     With dependency labels present, a token is negated when a cue is its
     direct dependent or a sibling under the same head.  With bare heads
-    the rule is tree distance <= 2 from a cue; without any parse it falls
-    back to linear distance <= 2.  Cue tokens themselves never flip.
+    the rule is tree distance <= 2 from a cue (a cyclic head chain raises
+    ParseIntegrityError); without any parse it falls back to linear
+    distance <= 2.  Cue tokens themselves never flip.
     """
     cue_positions = [
         t.token_index
@@ -147,22 +148,9 @@ def detect_negations(sentence, cues=DEFAULT_NEGATION_CUES):
                 elif heads[c] is not None and heads[c] == tok.head_index:
                     negated.add(tok.token_index)
     elif has_heads:
-        adj = {t.token_index: set() for t in sentence}
-        for t in sentence:
-            if t.head_index is not None:
-                adj[t.token_index].add(t.head_index)
-                adj[t.head_index].add(t.token_index)
+        adj = netbuild._tree_adjacency(sentence)
         for c in cue_positions:
-            dist = {c: 0}
-            queue = deque([c])
-            while queue:
-                cur = queue.popleft()
-                if dist[cur] == 2:
-                    continue
-                for nxt in adj[cur]:
-                    if nxt not in dist:
-                        dist[nxt] = dist[cur] + 1
-                        queue.append(nxt)
+            dist = netbuild._tree_distances_within(adj, c, 2)
             negated.update(p for p in dist if p not in cue_set)
     else:
         for tok in sentence:

@@ -624,11 +624,7 @@ def _write_attributions(config, features, results, target):
     """
     best = select_best(results, target)
     table = features.rows(best.builder_tag, best.config, target)
-    spec = ModelSpec(
-        kind=best.model_kind,
-        hyperparameters=dict(_model_specs(config)[best.model_kind].hyperparameters),
-        rng_seed=best.rng_seed,
-    )
+    spec = replace(_model_specs(config)[best.model_kind], rng_seed=best.rng_seed)
     explained_ids = []
     blocks = []
     remaining = config.shap_max_rows

@@ -12,7 +12,7 @@ from ..seeding import derive_seed
 from ..stats import mae as mae_score
 from ..stats import pearson, spearman
 from .features import FEATURE_CONFIGS
-from .models import ModelSpec, fit, predict_matrix
+from .models import fit, predict_matrix
 
 
 @dataclass(frozen=True)
@@ -171,11 +171,7 @@ def run_matrix(
                 table = features.rows(builder, config, target)
                 for kind, spec in model_specs.items():
                     cell_seed = derive_seed(rng_seed, target, builder, config, kind)
-                    cell_spec = ModelSpec(
-                        kind=spec.kind,
-                        hyperparameters=dict(spec.hyperparameters),
-                        rng_seed=cell_seed,
-                    )
+                    cell_spec = replace(spec, rng_seed=cell_seed)
                     result = kfold_cv(table, cell_spec, k=k, rng_seed=cell_seed)
                     results.append(replace(result, target=target))
                     if with_baseline:

@@ -129,41 +129,11 @@ def fit(spec, table):
     elif spec.kind == "knn":
         estimator = _KNN(X_in, y, hp["n_neighbors"], hp["weights"], hp["p"])
     elif spec.kind == "decision_tree":
-        estimator = _Tree(
-            trees.fit_tree(
-                X_in,
-                y,
-                max_depth=hp["max_depth"],
-                min_samples_leaf=hp["min_samples_leaf"],
-                min_impurity_decrease=hp["min_impurity_decrease"],
-            )
-        )
+        estimator = trees.TreeEnsemble([trees.fit_tree(X_in, y, **hp)])
     elif spec.kind == "random_forest":
-        estimator = _Forest(
-            trees.fit_forest(
-                X_in,
-                y,
-                n_estimators=hp["n_estimators"],
-                min_samples_leaf=hp["min_samples_leaf"],
-                max_features=hp["max_features"],
-                bootstrap=hp["bootstrap"],
-                max_depth=hp["max_depth"],
-                rng=rng,
-            )
-        )
+        estimator = trees.fit_forest(X_in, y, rng=rng, **hp)
     else:
-        estimator = _Boost(
-            trees.fit_boosting(
-                X_in,
-                y,
-                n_estimators=hp["n_estimators"],
-                learning_rate=hp["learning_rate"],
-                max_depth=hp["max_depth"],
-                subsample=hp["subsample"],
-                min_samples_leaf=hp["min_samples_leaf"],
-                rng=rng,
-            )
-        )
+        estimator = trees.fit_boosting(X_in, y, rng=rng, **hp)
     return TrainedModel(
         spec=spec, feature_names=table.names, estimator=estimator, scaler=scaler, background=X
     )
@@ -241,27 +211,3 @@ class _KNN:
                 w = 1.0 / d
                 out[i] = float(np.sum(w * targets) / np.sum(w))
         return out
-
-
-@dataclass
-class _Tree:
-    arrays: trees.TreeArrays
-
-    def predict(self, X):
-        return trees.predict_tree(self.arrays, X)
-
-
-@dataclass
-class _Forest:
-    arrays: trees.ForestArrays
-
-    def predict(self, X):
-        return trees.predict_forest(self.arrays, X)
-
-
-@dataclass
-class _Boost:
-    arrays: trees.BoostArrays
-
-    def predict(self, X):
-        return trees.predict_boosting(self.arrays, X)

@@ -163,8 +163,25 @@ def predict_tree(tree, X):
 
 
 @dataclass
-class ForestArrays:
+class TreeEnsemble:
+    """A sum of regression trees: the decision tree, forest and boosting estimator.
+
+    predict adds each tree's output, in tree order, onto `base` and divides
+    by `divisor`.  A decision tree is a one-tree ensemble, a forest divides
+    by its tree count, and boosting starts from the target mean with its
+    learning rate folded into the leaf values.
+    """
+
     trees: list[TreeArrays]
+    base: float = 0.0
+    divisor: int = 1
+
+    def predict(self, X):
+        X = np.asarray(X, dtype=float)
+        total = np.full(X.shape[0], self.base)
+        for tree in self.trees:
+            total += predict_tree(tree, X)
+        return total / self.divisor
 
 
 def fit_forest(X, y, n_estimators, min_samples_leaf, max_features, bootstrap,
@@ -190,22 +207,7 @@ def fit_forest(X, y, n_estimators, min_samples_leaf, max_features, bootstrap,
                 rng=tree_rng,
             )
         )
-    return ForestArrays(trees)
-
-
-def predict_forest(forest, X):
-    X = np.asarray(X, dtype=float)
-    total = np.zeros(X.shape[0])
-    for tree in forest.trees:
-        total += predict_tree(tree, X)
-    return total / len(forest.trees)
-
-
-@dataclass
-class BoostArrays:
-    base_value: float
-    learning_rate: float
-    trees: list[TreeArrays]
+    return TreeEnsemble(trees, divisor=len(trees))
 
 
 def fit_boosting(X, y, n_estimators, learning_rate, max_depth, subsample,
@@ -230,14 +232,7 @@ def fit_boosting(X, y, n_estimators, learning_rate, max_depth, subsample,
             min_samples_leaf=min_samples_leaf,
             rng=rng,
         )
-        residual -= learning_rate * predict_tree(tree, X)
+        tree.value *= learning_rate
+        residual -= predict_tree(tree, X)
         trees.append(tree)
-    return BoostArrays(base_value=base, learning_rate=learning_rate, trees=trees)
-
-
-def predict_boosting(model, X):
-    X = np.asarray(X, dtype=float)
-    pred = np.full(X.shape[0], model.base_value)
-    for tree in model.trees:
-        pred += model.learning_rate * predict_tree(tree, X)
-    return pred
+    return TreeEnsemble(trees, base=base)

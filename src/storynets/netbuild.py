@@ -8,7 +8,6 @@ All networks are simple, undirected and unweighted.
 
 from __future__ import annotations
 
-import hashlib
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -164,11 +163,6 @@ class LexicalNetwork:
 
     def node_valence(self, node):
         return self.valence.get(node, "neutral")
-
-    def edge_hash(self):
-        """Digest of the sorted edge list; equal graphs hash equally."""
-        blob = "\n".join(f"{a},{b}" for a, b in sorted(self.edges))
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
 def make_network(nodes, edges, builder_tag="", valence=None):
@@ -390,16 +384,6 @@ def build_all_variants(story, radius=3, relations=None, lexicon=None, enrich_tfm
         tfmn = annotate_valence(tfmn, lexicon, negated_occurrences)
     nets["TFMN"] = tfmn
     return nets
-
-
-def induced_subgraph(net, keep):
-    keep = frozenset(keep)
-    return LexicalNetwork(
-        nodes=keep & net.nodes,
-        edges=frozenset(e for e in net.edges if e[0] in keep and e[1] in keep),
-        builder_tag=net.builder_tag,
-        valence={n: v for n, v in net.valence.items() if n in keep},
-    )
 
 
 def edge_list_csv(net):

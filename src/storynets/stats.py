@@ -155,25 +155,16 @@ def wilcoxon_signed_rank(x, y, alternative="two-sided"):
         statistic = w_minus
 
     if n <= EXACT_WILCOXON_LIMIT:
-        doubled = np.rint(ranks * 2).astype(int)
-        cdf = lambda w: _exact_wplus_cdf(doubled, 2 * w)  # noqa: E731
+        tail = _exact_wplus_cdf(np.rint(ranks * 2).astype(int), 2 * statistic)
         method = "wilcoxon-signed-rank-exact"
-        if alternative == "two-sided":
-            p = min(1.0, 2.0 * cdf(statistic))
-        else:
-            p = cdf(statistic)
     else:
         mu = n * (n + 1) / 4.0
-        tie_term = 0.0
         _, tie_counts = np.unique(np.abs(d), return_counts=True)
         tie_term = float(np.sum(tie_counts**3 - tie_counts)) / 48.0
         sigma = math.sqrt(n * (n + 1) * (2 * n + 1) / 24.0 - tie_term)
-        cdf = lambda w: _normal_cdf((w - mu + 0.5) / sigma)  # noqa: E731
+        tail = _normal_cdf((statistic - mu + 0.5) / sigma)
         method = "wilcoxon-signed-rank-normal"
-        if alternative == "two-sided":
-            p = min(1.0, 2.0 * cdf(statistic))
-        else:
-            p = cdf(statistic)
+    p = min(1.0, 2.0 * tail) if alternative == "two-sided" else tail
     return TestResult(statistic, p, n, method, alternative)
 
 

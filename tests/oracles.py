@@ -2,15 +2,17 @@
 
 `wilcoxon_exact_enumeration` checks the exact Wilcoxon path by brute
 force over all 2^n sign assignments; `parse_graphml` reads back the
-GraphML export for round-trip tests.
+GraphML export for round-trip tests; `induced_subgraph` and `edge_hash`
+cut and fingerprint networks for graph tests.
 """
 
+import hashlib
 import itertools
 import xml.etree.ElementTree as ET
 
 import numpy as np
 
-from storynets.netbuild import make_network
+from storynets.netbuild import LexicalNetwork, make_network
 from storynets.stats import TestResult, _average_ranks
 
 
@@ -59,3 +61,20 @@ def parse_graphml(text):
     for edge in graph.findall("g:edge", ns):
         edges.add((edge.attrib["source"], edge.attrib["target"]))
     return make_network(nodes, edges, valence=valence)
+
+
+def induced_subgraph(net, keep):
+    """The network restricted to the nodes in `keep`."""
+    keep = frozenset(keep)
+    return LexicalNetwork(
+        nodes=keep & net.nodes,
+        edges=frozenset(e for e in net.edges if e[0] in keep and e[1] in keep),
+        builder_tag=net.builder_tag,
+        valence={n: v for n, v in net.valence.items() if n in keep},
+    )
+
+
+def edge_hash(net):
+    """Digest of the sorted edge list; equal graphs hash equally."""
+    blob = "\n".join(f"{a},{b}" for a, b in sorted(net.edges))
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()

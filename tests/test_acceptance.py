@@ -23,7 +23,7 @@ from storynets.mlharness import (
 )
 
 from conftest import make_sentence
-from oracles import wilcoxon_exact_enumeration
+from oracles import induced_subgraph, wilcoxon_exact_enumeration
 
 
 def _report(num, label):
@@ -105,7 +105,7 @@ def test_criterion_3_pagerank():
         for seed in range(20):
             net = random_graph(3 + seed % 20, 0.4, 900 + seed)
             lcc = graphmetrics.components(net)[0]
-            ranks = graphmetrics.pagerank(netbuild.induced_subgraph(net, lcc))
+            ranks = graphmetrics.pagerank(induced_subgraph(net, lcc))
             assert abs(sum(ranks.values()) - 1.0) <= 1e-10
             assert all(v >= 0 for v in ranks.values())
         for n in (3, 5, 8, 13):

@@ -25,6 +25,7 @@ from storynets.graphmetrics import (
 from storynets.netbuild import build_all_variants, build_cooccurrence, make_network
 
 from conftest import make_sentence
+from oracles import induced_subgraph
 
 
 def path_graph(*labels):
@@ -208,8 +209,6 @@ class TestPagerank:
         for seed in range(5):
             net = random_graph(12, 0.4, seed)
             lcc = components(net)[0]
-            from storynets.netbuild import induced_subgraph
-
             ranks = pagerank(induced_subgraph(net, lcc))
             assert sum(ranks.values()) == pytest.approx(1.0, abs=1e-10)
             assert all(r >= 0 for r in ranks.values())
