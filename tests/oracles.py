@@ -3,7 +3,9 @@
 `wilcoxon_exact_enumeration` checks the exact Wilcoxon path by brute
 force over all 2^n sign assignments; `parse_graphml` reads back the
 GraphML export for round-trip tests; `induced_subgraph` and `edge_hash`
-cut and fingerprint networks for graph tests.
+cut and fingerprint networks for graph tests; `fit_tree_reference` is the
+per-node, per-feature CART split search that `trees.fit_tree` must match
+bit for bit.
 """
 
 import hashlib
@@ -12,6 +14,7 @@ import xml.etree.ElementTree as ET
 
 import numpy as np
 
+from storynets.mlharness.trees import TreeArrays
 from storynets.netbuild import LexicalNetwork, make_network
 from storynets.stats import TestResult, _average_ranks
 
@@ -78,3 +81,130 @@ def edge_hash(net):
     """Digest of the sorted edge list; equal graphs hash equally."""
     blob = "\n".join(f"{a},{b}" for a, b in sorted(net.edges))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
+_LEAF = -1
+
+
+class _ReferenceTreeBuilder:
+    """Re-sorts each candidate column at every node and scans one feature at a time."""
+
+    def __init__(self, X, y, max_depth, min_samples_leaf, min_impurity_decrease,
+                 max_features, rng):
+        self.X = X
+        self.y = y
+        self.max_depth = max_depth
+        self.min_samples_leaf = min_samples_leaf
+        self.min_impurity_decrease = min_impurity_decrease
+        self.max_features = max_features
+        self.rng = rng
+        self.n_total = y.size
+        self.feature = []
+        self.threshold = []
+        self.left = []
+        self.right = []
+        self.value = []
+
+    def _new_node(self):
+        self.feature.append(_LEAF)
+        self.threshold.append(0.0)
+        self.left.append(_LEAF)
+        self.right.append(_LEAF)
+        self.value.append(0.0)
+        return len(self.feature) - 1
+
+    def _candidate_features(self):
+        n_features = self.X.shape[1]
+        if self.max_features is None:
+            return np.arange(n_features)
+        m = max(1, int(round(self.max_features * n_features)))
+        if m >= n_features:
+            return np.arange(n_features)
+        return self.rng.choice(n_features, size=m, replace=False)
+
+    def _best_split(self, idx):
+        n = idx.size
+        y_node = self.y[idx]
+        sse_total = float(np.sum(y_node**2) - np.sum(y_node) ** 2 / n)
+        best = None
+        for f in self._candidate_features():
+            xs = self.X[idx, f]
+            order = np.argsort(xs, kind="stable")
+            xs_sorted = xs[order]
+            ys_sorted = y_node[order]
+            csum = np.cumsum(ys_sorted)
+            csq = np.cumsum(ys_sorted**2)
+            split_at = np.arange(self.min_samples_leaf, n - self.min_samples_leaf + 1)
+            if split_at.size == 0:
+                continue
+            valid = xs_sorted[split_at] > xs_sorted[split_at - 1]
+            split_at = split_at[valid]
+            if split_at.size == 0:
+                continue
+            n_left = split_at.astype(float)
+            n_right = n - n_left
+            sum_left = csum[split_at - 1]
+            sq_left = csq[split_at - 1]
+            sse_left = sq_left - sum_left**2 / n_left
+            sse_right = (csq[-1] - sq_left) - (csum[-1] - sum_left) ** 2 / n_right
+            gains = sse_total - (sse_left + sse_right)
+            pos = int(np.argmax(gains))
+            gain = float(gains[pos])
+            if best is None or gain > best[0]:
+                at = split_at[pos]
+                thresh = (xs_sorted[at - 1] + xs_sorted[at]) / 2.0
+                best = (gain, int(f), float(thresh))
+        if best is None:
+            return None
+        gain, f, thresh = best
+        if gain / self.n_total < self.min_impurity_decrease:
+            return None
+        return f, thresh
+
+    def build(self, idx, depth):
+        node = self._new_node()
+        y_node = self.y[idx]
+        self.value[node] = float(y_node.mean())
+        if (
+            (self.max_depth is not None and depth >= self.max_depth)
+            or idx.size < 2 * self.min_samples_leaf
+            or np.all(y_node == y_node[0])
+        ):
+            return node
+        split = self._best_split(idx)
+        if split is None:
+            return node
+        f, thresh = split
+        go_left = self.X[idx, f] <= thresh
+        self.feature[node] = f
+        self.threshold[node] = thresh
+        self.left[node] = self.build(idx[go_left], depth + 1)
+        self.right[node] = self.build(idx[~go_left], depth + 1)
+        return node
+
+    def arrays(self):
+        return TreeArrays(
+            feature=np.asarray(self.feature, dtype=np.int64),
+            threshold=np.asarray(self.threshold, dtype=float),
+            left=np.asarray(self.left, dtype=np.int64),
+            right=np.asarray(self.right, dtype=np.int64),
+            value=np.asarray(self.value, dtype=float),
+        )
+
+
+def fit_tree_reference(X, y, max_depth=None, min_samples_leaf=1, min_impurity_decrease=0.0,
+                       max_features=None, rng=None):
+    """CART fit with a fresh stable sort of each candidate column at each node."""
+    if rng is None:
+        rng = np.random.default_rng(0)
+    builder = _ReferenceTreeBuilder(
+        np.asarray(X, dtype=float),
+        np.asarray(y, dtype=float),
+        max_depth,
+        min_samples_leaf,
+        min_impurity_decrease,
+        max_features,
+        rng,
+    )
+    builder.build(np.arange(y.size), depth=0)
+    return builder.arrays()

@@ -2,6 +2,9 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import fit_tree_reference
 
 from storynets.mlharness import (
     MODEL_KINDS,
@@ -12,6 +15,7 @@ from storynets.mlharness import (
     planted_feature_rows,
     predict_matrix,
 )
+from storynets.mlharness.trees import fit_tree
 
 
 def rows_from_arrays(X, y, names=None):
@@ -179,6 +183,69 @@ class TestTreesRawFeatures:
         y = np.sin(3 * X[:, 0])
         model = fit(ModelSpec("decision_tree", {"max_depth": 1}), rows_from_arrays(X, y))
         assert len(set(predict_matrix(model, X).tolist())) <= 2
+
+
+def tied_design(seed, n=90):
+    """Rows drawn with replacement (as a bootstrap does) from a design full of ties.
+
+    Columns: small integers, a constant, a continuous column, a one-decimal
+    rounding of it, a binary column and an exact copy of column 0 (so two
+    features can offer the same best gain).  The target repeats values.
+    """
+    rng = np.random.default_rng(seed)
+    base = rng.normal(size=n)
+    X = np.column_stack([
+        rng.integers(0, 4, size=n),
+        rng.integers(0, 10, size=n),
+        np.full(n, 2.0),
+        base,
+        np.round(base, 1),
+        rng.integers(0, 2, size=n),
+    ]).astype(float)
+    X = np.column_stack([X, X[:, 0]])
+    # one decimal: values repeat, and their sums depend on the order they are added in
+    y = np.round(X[:, 0] + 0.7 * X[:, 5] + rng.normal(scale=0.8, size=n), 1)
+    rows = rng.integers(0, n, size=n)
+    return X[rows], y[rows]
+
+
+def assert_same_fit(X, y, seed, **kwargs):
+    rng_fast = np.random.default_rng(seed)
+    rng_ref = np.random.default_rng(seed)
+    fast = fit_tree(X, y, rng=rng_fast, **kwargs)
+    ref = fit_tree_reference(X, y, rng=rng_ref, **kwargs)
+    for field in ("feature", "threshold", "left", "right", "value"):
+        assert getattr(fast, field).tobytes() == getattr(ref, field).tobytes(), field
+    assert rng_fast.bit_generator.state == rng_ref.bit_generator.state
+
+
+@pytest.mark.parametrize("min_samples_leaf", [1, 3, 5])
+@pytest.mark.parametrize("max_features", [None, 0.7])
+@pytest.mark.parametrize("max_depth", [None, 2, 4])
+@pytest.mark.parametrize("min_impurity_decrease", [0.0, 0.01])
+def test_fit_tree_matches_reference_splitter(min_samples_leaf, max_features, max_depth,
+                                             min_impurity_decrease):
+    for data_seed in range(3):
+        X, y = tied_design(data_seed)
+        assert_same_fit(
+            X, y, seed=100 + data_seed, max_depth=max_depth,
+            min_samples_leaf=min_samples_leaf,
+            min_impurity_decrease=min_impurity_decrease, max_features=max_features,
+        )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    cells=st.lists(st.integers(0, 3), min_size=12, max_size=120),
+    min_samples_leaf=st.integers(1, 4),
+    max_features=st.sampled_from([None, 0.5, 0.7]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_fit_tree_matches_reference_on_integer_grids(cells, min_samples_leaf, max_features, seed):
+    X = np.asarray(cells[: len(cells) // 4 * 4], dtype=float).reshape(-1, 4)
+    y = X[:, 0] * 0.1 - X[:, 2] * 0.7 + (X[:, 1] > 1) * 0.3
+    assert_same_fit(X, y, seed=seed, min_samples_leaf=min_samples_leaf,
+                    max_features=max_features)
 
 
 # sha256 of the float64 predictions below, taken from the code as committed;
