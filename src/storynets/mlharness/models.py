@@ -75,14 +75,24 @@ def _validate_hyperparameters(kind, hp):
         if hp["p"] not in (1, 2):
             raise ValueError("p must be 1 (Manhattan) or 2 (Euclidean)")
     elif kind in ("decision_tree", "random_forest", "gradient_boosting"):
-        if hp["min_samples_leaf"] < 1:
-            raise ValueError("min_samples_leaf must be >= 1")
-        if kind != "decision_tree" and hp["n_estimators"] < 1:
-            raise ValueError("n_estimators must be >= 1")
+        if not _is_int(hp["min_samples_leaf"]) or hp["min_samples_leaf"] < 1:
+            raise ValueError("min_samples_leaf must be an int >= 1")
+        if hp["max_depth"] is not None and (not _is_int(hp["max_depth"]) or hp["max_depth"] < 1):
+            raise ValueError("max_depth must be None or an int >= 1")
+        if kind != "decision_tree" and (not _is_int(hp["n_estimators"]) or hp["n_estimators"] < 1):
+            raise ValueError("n_estimators must be an int >= 1")
+        if kind == "decision_tree" and not hp["min_impurity_decrease"] >= 0:
+            raise ValueError("min_impurity_decrease must be >= 0")
+        if kind == "gradient_boosting" and not hp["learning_rate"] > 0:
+            raise ValueError("learning_rate must be > 0")
         if kind == "gradient_boosting" and not 0 < hp["subsample"] <= 1:
             raise ValueError("subsample must lie in (0, 1]")
         if kind == "random_forest" and not 0 < hp["max_features"] <= 1:
             raise ValueError("max_features must lie in (0, 1]")
+
+
+def _is_int(value):
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 @dataclass

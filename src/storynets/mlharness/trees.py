@@ -2,10 +2,19 @@
 gradient-boosting models.
 
 Trees are stored as flat arrays (feature, threshold, child indices, leaf
-value) so batched prediction is a few vectorised index hops.  Split
-search scans sorted feature columns with cumulative sums; ties resolve
-to the first candidate, which keeps fits bit-deterministic for a given
-RNG seed.
+value) so batched prediction is a few vectorised index hops.
+
+Fitting is presorted CART.  `fit_tree` stable-sorts every feature column
+once; `order` holds, per feature, the tree's rows in that order.  A split
+partitions `order` between the children, which keeps each feature's rows
+sorted, so no node sorts again.  The rows of a node (`idx`) stay ascending,
+which makes a node's order the same as a stable sort of its own rows.  A
+node scans all candidate features in one pass: cumulative sums of y and
+y**2 along each sorted row give the impurity gain of every split position,
+positions between equal values are masked out, and the best split is the
+first position of the maximum gain in the first candidate that reaches
+it.  Ties thus resolve to the earliest candidate and the leftmost
+position, which keeps fits bit-deterministic for a given RNG seed.
 """
 
 from __future__ import annotations
@@ -30,6 +39,7 @@ class _TreeBuilder:
     def __init__(self, X, y, max_depth, min_samples_leaf, min_impurity_decrease,
                  max_features, rng):
         self.X = X
+        self.xt = X.T.ravel()  # feature-major copy: column f starts at f * n_total
         self.y = y
         self.max_depth = max_depth
         self.min_samples_leaf = min_samples_leaf
@@ -60,46 +70,35 @@ class _TreeBuilder:
             return np.arange(n_features)
         return self.rng.choice(n_features, size=m, replace=False)
 
-    def _best_split(self, idx):
+    def _best_split(self, idx, order):
         n = idx.size
         y_node = self.y[idx]
         sse_total = float(np.sum(y_node**2) - np.sum(y_node) ** 2 / n)
-        best = None
-        for f in self._candidate_features():
-            xs = self.X[idx, f]
-            order = np.argsort(xs, kind="stable")
-            xs_sorted = xs[order]
-            ys_sorted = y_node[order]
-            csum = np.cumsum(ys_sorted)
-            csq = np.cumsum(ys_sorted**2)
-            split_at = np.arange(self.min_samples_leaf, n - self.min_samples_leaf + 1)
-            if split_at.size == 0:
-                continue
-            valid = xs_sorted[split_at] > xs_sorted[split_at - 1]
-            split_at = split_at[valid]
-            if split_at.size == 0:
-                continue
-            n_left = split_at.astype(float)
-            n_right = n - n_left
-            sum_left = csum[split_at - 1]
-            sq_left = csq[split_at - 1]
-            sse_left = sq_left - sum_left**2 / n_left
-            sse_right = (csq[-1] - sq_left) - (csum[-1] - sum_left) ** 2 / n_right
-            gains = sse_total - (sse_left + sse_right)
-            pos = int(np.argmax(gains))
-            gain = float(gains[pos])
-            if best is None or gain > best[0]:
-                at = split_at[pos]
-                thresh = (xs_sorted[at - 1] + xs_sorted[at]) / 2.0
-                best = (gain, int(f), float(thresh))
-        if best is None:
+        cands = self._candidate_features()
+        rows = order[cands]
+        xs = self.xt[rows + self.n_total * cands[:, None]]
+        ys = self.y[rows]
+        csum = np.cumsum(ys, axis=1)
+        csq = np.cumsum(ys**2, axis=1)
+        # a split at `a` puts the first `a` sorted rows of a column on the left
+        lo, hi = self.min_samples_leaf, n - self.min_samples_leaf + 1
+        n_left = np.arange(lo, hi).astype(float)
+        n_right = n - n_left
+        sum_left = csum[:, lo - 1:hi - 1]
+        sq_left = csq[:, lo - 1:hi - 1]
+        sse_left = sq_left - sum_left**2 / n_left
+        sse_right = (csq[:, -1:] - sq_left) - (csum[:, -1:] - sum_left) ** 2 / n_right
+        gains = sse_total - (sse_left + sse_right)
+        gains[~(xs[:, lo:hi] > xs[:, lo - 1:hi - 1])] = -np.inf
+        pos = np.argmax(gains, axis=1)
+        c = int(np.argmax(gains[np.arange(cands.size), pos]))
+        gain = float(gains[c, pos[c]])
+        if gain == -np.inf or gain / self.n_total < self.min_impurity_decrease:
             return None
-        gain, f, thresh = best
-        if gain / self.n_total < self.min_impurity_decrease:
-            return None
-        return f, thresh
+        at = lo + pos[c]
+        return int(cands[c]), float((xs[c, at - 1] + xs[c, at]) / 2.0)
 
-    def build(self, idx, depth):
+    def build(self, idx, order, depth):
         node = self._new_node()
         y_node = self.y[idx]
         self.value[node] = float(y_node.mean())
@@ -109,15 +108,21 @@ class _TreeBuilder:
             or np.all(y_node == y_node[0])
         ):
             return node
-        split = self._best_split(idx)
+        split = self._best_split(idx, order)
         if split is None:
             return node
         f, thresh = split
-        go_left = self.X[idx, f] <= thresh
+        go_left = self.X[:, f] <= thresh
+        idx_left = go_left[idx]
+        # each feature row of `order` keeps its sorted order on both sides
+        order_left = go_left[order].ravel()
+        k = order.shape[0]
         self.feature[node] = f
         self.threshold[node] = thresh
-        self.left[node] = self.build(idx[go_left], depth + 1)
-        self.right[node] = self.build(idx[~go_left], depth + 1)
+        self.left[node] = self.build(
+            idx[idx_left], np.compress(order_left, order).reshape(k, -1), depth + 1)
+        self.right[node] = self.build(
+            idx[~idx_left], np.compress(~order_left, order).reshape(k, -1), depth + 1)
         return node
 
     def arrays(self):
@@ -143,7 +148,8 @@ def fit_tree(X, y, max_depth=None, min_samples_leaf=1, min_impurity_decrease=0.0
         max_features,
         rng,
     )
-    builder.build(np.arange(y.size), depth=0)
+    order = np.argsort(builder.X.T, axis=1, kind="stable")
+    builder.build(np.arange(y.size), order, depth=0)
     return builder.arrays()
 
 

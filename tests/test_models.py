@@ -61,6 +61,25 @@ class TestModelSpec:
             ModelSpec("gradient_boosting", {"subsample": 0.0})
         with pytest.raises(ValueError):
             ModelSpec("linear", {"ridge_lambda": -1.0})
+        for kind, hp in [
+            ("decision_tree", {"max_depth": 0}),
+            ("decision_tree", {"max_depth": -3}),
+            ("random_forest", {"max_depth": 0}),
+            ("gradient_boosting", {"max_depth": 2.0}),
+            ("decision_tree", {"min_impurity_decrease": -0.01}),
+            ("gradient_boosting", {"learning_rate": -0.5}),
+            ("gradient_boosting", {"learning_rate": 0}),
+            ("decision_tree", {"min_samples_leaf": 2.5}),
+            ("random_forest", {"min_samples_leaf": 2.0}),
+            ("random_forest", {"n_estimators": 2.0}),
+            ("gradient_boosting", {"n_estimators": True}),
+        ]:
+            with pytest.raises(ValueError):
+                ModelSpec(kind, hp)
+
+    def test_numpy_ints_and_unbounded_depth_accepted(self):
+        ModelSpec("random_forest", {"n_estimators": np.int64(3), "max_depth": None})
+        ModelSpec("decision_tree", {"max_depth": np.int32(1), "min_samples_leaf": np.int64(2)})
 
 
 class TestLinear:
