@@ -1,11 +1,12 @@
 import csv
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 from storynets import cli
-from storynets.cli import config_hash, main, resolve_config
+from storynets.cli import RunConfig, build_arg_parser, config_hash, main, resolve_config
 from storynets.mlharness import ModelSpec, cv, run_matrix
 
 from conftest import DEMO_STORY_CONLLU, DEMO_STORY_TEXT, LEXICON_TSV
@@ -397,3 +398,87 @@ class TestAttributionFolds:
         fitted, lines = self._run(tmp_path, monkeypatch, shap_max_rows=0)
         assert fitted == []
         assert lines == ["story_id"]
+
+
+# A non-default value for every RunConfig field, as INI / flag text; None
+# marks a path field, which gets an existing file.  A bool field's flag
+# takes no value.
+NON_DEFAULT_TEXT = {
+    "stories_csv": None,
+    "conllu": None,
+    "lexicon": None,
+    "lemma_table": None,
+    "stoplist": None,
+    "pronouns": None,
+    "relations": None,
+    "out_dir": "elsewhere",
+    "builders": "TFMN,coocc_WS2",
+    "window_sizes": "2,4",
+    "radius": "2",
+    "retention": "0.2,0.8",
+    "feature_configs": "NetStr,All",
+    "models": "linear,knn",
+    "targets": "mean,H",
+    "folds": "5",
+    "n_perm": "500",
+    "rng_seed": "11",
+    "pagerank_damping": "0.9",
+    "enrich_tfmn": "yes",
+    "with_baseline": "off",
+    "shap_samples": "300",
+    "shap_max_rows": "7",
+    "export_graphml": "true",
+    "export_conllu": "1",
+}
+
+
+def _resolve(argv):
+    return resolve_config(build_arg_parser().parse_args(argv))
+
+
+class TestOptionParity:
+    """Every RunConfig field reads the same through its flag and through the INI file."""
+
+    @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(RunConfig)])
+    def test_flag_and_ini_give_the_same_config(self, tmp_path, field):
+        text = NON_DEFAULT_TEXT[field]
+        if text is None:
+            target = tmp_path / f"{field}.txt"
+            target.write_text("x\n", encoding="utf-8")
+            text = str(target)
+        # enrich_tfmn needs a relations file, so both sides carry one
+        relations = tmp_path / "relations.tsv"
+        relations.write_text("a\tb\tsynonym\n", encoding="utf-8")
+        base = f"[storynets]\nrelations = {relations}\n" if field != "relations" else "[storynets]\n"
+        plain_ini = tmp_path / "plain.ini"
+        plain_ini.write_text(base, encoding="utf-8")
+        set_ini = tmp_path / "set.ini"
+        set_ini.write_text(base + f"{field} = {text}\n", encoding="utf-8")
+
+        default = RunConfig.__dataclass_fields__[field].default
+        if isinstance(default, bool):
+            flag = ["--no-baseline"] if field == "with_baseline" else ["--" + field.replace("_", "-")]
+        else:
+            flag = ["--" + field.replace("_", "-"), text]
+        from_flag = _resolve(["report", "--config", str(plain_ini), *flag])
+        from_ini = _resolve(["report", "--config", str(set_ini)])
+        assert getattr(from_ini, field) != default
+        assert from_flag == from_ini
+        assert config_hash(from_flag) == config_hash(from_ini)
+
+
+class TestMalformedOptionValues:
+    """A value that does not parse as its field's type is bad input: exit 2, no traceback."""
+
+    @pytest.mark.parametrize(
+        "line", ["rng_seed = abc", "folds = 3.5", "enrich_tfmn = maybe"]
+    )
+    def test_malformed_ini_value_exits_2(self, tmp_path, capsys, line):
+        ini = tmp_path / "bad.ini"
+        ini.write_text(f"[storynets]\nout_dir = {tmp_path / 'out'}\n{line}\n", encoding="utf-8")
+        assert main(["report", "--config", str(ini)]) == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_malformed_list_flag_exits_2(self, tmp_path, capsys):
+        assert main(["report", "--out-dir", str(tmp_path / "out"), "--window-sizes", "2,x"]) == 2
+        assert "error:" in capsys.readouterr().err
