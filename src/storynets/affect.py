@@ -13,6 +13,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import netbuild
 from .errors import InputFormatError
@@ -59,16 +60,16 @@ class EmotionLexicon:
     vocabulary: frozenset[str]
     priors: dict[str, float]
 
-    @property
+    @cached_property
     def positive_words(self):
         return self._valence_set("positive")
 
-    @property
+    @cached_property
     def negative_words(self):
         return self._valence_set("negative")
 
     def _valence_set(self, label):
-        return {w for w, labels in self.entries.items() if label in labels}
+        return frozenset(w for w, labels in self.entries.items() if label in labels)
 
     def labels(self, lemma):
         return self.entries.get(lemma, frozenset())

@@ -18,8 +18,9 @@ import csv
 import hashlib
 import json
 import logging
+import math
 import sys
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -37,44 +38,25 @@ from .mlharness import (
 )
 from .mlharness.features import EMOTION_FEATURE_NAMES, FEATURE_CONFIGS
 from .mlharness.models import MODEL_KINDS
+from .mlharness.shapley import MIN_SAMPLES
 from .netbuild import BUILDER_TAGS
 from .seeding import derive_seed
 
 log = logging.getLogger("storynets")
 
-STAGES = (
-    "preprocess",
-    "build",
-    "features",
-    "spread",
-    "emotions",
-    "evaluate",
-    "compare-builders",
-    "report",
-)
-
-_LIST_FIELDS = {
-    "builders": str,
-    "window_sizes": int,
-    "retention": float,
-    "feature_configs": str,
-    "models": str,
-    "targets": str,
+_BOOL_WORDS = {
+    **dict.fromkeys(("1", "true", "yes", "on"), True),
+    **dict.fromkeys(("0", "false", "no", "off"), False),
 }
-
-_PATH_FIELDS = (
-    "stories_csv",
-    "conllu",
-    "lexicon",
-    "lemma_table",
-    "stoplist",
-    "pronouns",
-    "relations",
-)
+_NEGATED_FLAGS = {"with_baseline": "--no-baseline"}  # the one bool field defaulting to True
 
 
 @dataclass(frozen=True)
 class RunConfig:
+    """Every option of a run.  Each field is an INI key and a flag of the
+    same name (`--no-baseline` for `with_baseline`); its default sets the
+    type a value is read as, and a default of None marks a path."""
+
     stories_csv: str | None = None
     conllu: str | None = None
     lexicon: str | None = None
@@ -124,10 +106,16 @@ class RunConfig:
             raise InputFormatError(f"unknown model kinds: {sorted(unknown)}")
         if not 0.0 < self.pagerank_damping < 1.0:
             raise InputFormatError("pagerank_damping must lie in (0, 1)")
-        for name in _PATH_FIELDS:
-            value = getattr(self, name)
-            if value is not None and not Path(value).exists():
-                raise InputFormatError(f"{name} path does not exist: {value}")
+        if self.n_perm < 1:
+            raise InputFormatError("n_perm must be >= 1")
+        if self.shap_samples < MIN_SAMPLES:
+            raise InputFormatError(f"shap_samples must be >= {MIN_SAMPLES}")
+        if self.shap_max_rows < 0:
+            raise InputFormatError("shap_max_rows must be >= 0")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.default is None and value is not None and not Path(value).exists():
+                raise InputFormatError(f"{f.name} path does not exist: {value}")
 
     def active_builders(self):
         """Configured builders restricted to the configured window sizes."""
@@ -141,44 +129,45 @@ class RunConfig:
         return tuple(keep)
 
 
+_FIELDS = {f.name: f for f in fields(RunConfig)}
+
+
 def config_hash(config):
     payload = json.dumps(asdict(config), sort_keys=True)
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
 def load_config_file(path):
+    """The [storynets] section of an INI file as {field: text}."""
     parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
+    if not parser.read(path):
         raise InputFormatError(f"cannot read config file {path}")
     if not parser.has_section("storynets"):
         raise InputFormatError(f"{path}: missing [storynets] section")
-    section = parser["storynets"]
-    values = {}
-    valid = set(RunConfig.__dataclass_fields__)
-    for key, raw in section.items():
-        if key not in valid:
+    values = dict(parser["storynets"])
+    for key in values:
+        if key not in _FIELDS:
             raise InputFormatError(f"{path}: unknown config key {key!r}")
-        values[key] = _coerce_field(key, raw)
     return values
 
 
-def _coerce_field(key, raw):
-    fields = RunConfig.__dataclass_fields__
-    raw = raw.strip()
-    if key in _LIST_FIELDS:
-        items = [p.strip() for p in raw.split(",") if p.strip()]
-        return tuple(_LIST_FIELDS[key](p) for p in items)
-    kind = fields[key].type
-    if key in _PATH_FIELDS:
-        return raw or None
-    if "bool" in str(kind):
-        return raw.lower() in ("1", "true", "yes", "on")
-    if "float" in str(kind):
-        return float(raw)
-    if "int" in str(kind):
-        return int(raw)
-    return raw
+def _coerce(field, text):
+    """One option value, typed from the field's default: None means a path
+    (empty text gives None), a tuple a comma-separated list of its first
+    element's type, a bool one of the accepted words."""
+    default = field.default
+    text = text.strip()
+    try:
+        if default is None:
+            return text or None
+        if isinstance(default, tuple):
+            return tuple(type(default[0])(p.strip()) for p in text.split(",") if p.strip())
+        if isinstance(default, bool):
+            return _BOOL_WORDS[text.lower()]
+        return type(default)(text)
+    except (KeyError, ValueError):
+        like = "/".join(_BOOL_WORDS) if isinstance(default, bool) else repr(default)
+        raise InputFormatError(f"{field.name}: {text!r} is not a value like {like}") from None
 
 
 def build_arg_parser():
@@ -190,46 +179,27 @@ def build_arg_parser():
     for stage in STAGES:
         p = sub.add_parser(stage, help=f"run the {stage} stage")
         p.add_argument("--config", help="INI config file with a [storynets] section")
-        p.add_argument("--stories-csv", dest="stories_csv")
-        p.add_argument("--conllu")
-        p.add_argument("--lexicon")
-        p.add_argument("--lemma-table", dest="lemma_table")
-        p.add_argument("--stoplist")
-        p.add_argument("--pronouns")
-        p.add_argument("--relations")
-        p.add_argument("--out-dir", dest="out_dir")
-        p.add_argument("--builders", help="comma-separated builder tags")
-        p.add_argument("--window-sizes", dest="window_sizes", help="comma-separated")
-        p.add_argument("--radius", type=int)
-        p.add_argument("--retention", help="comma-separated retention values")
-        p.add_argument("--feature-configs", dest="feature_configs", help="comma-separated")
-        p.add_argument("--models", help="comma-separated model kinds")
-        p.add_argument("--targets", help="comma-separated: mean and/or rater ids")
-        p.add_argument("--folds", type=int)
-        p.add_argument("--n-perm", dest="n_perm", type=int)
-        p.add_argument("--rng-seed", dest="rng_seed", type=int)
-        p.add_argument("--pagerank-damping", dest="pagerank_damping", type=float)
-        p.add_argument("--enrich-tfmn", dest="enrich_tfmn", action="store_const", const=True)
-        p.add_argument("--no-baseline", dest="with_baseline", action="store_const", const=False)
-        p.add_argument("--shap-samples", dest="shap_samples", type=int)
-        p.add_argument("--shap-max-rows", dest="shap_max_rows", type=int)
-        p.add_argument("--export-graphml", dest="export_graphml", action="store_const", const=True)
-        p.add_argument("--export-conllu", dest="export_conllu", action="store_const", const=True)
+        for f in fields(RunConfig):
+            flag = _NEGATED_FLAGS.get(f.name, "--" + f.name.replace("_", "-"))
+            if isinstance(f.default, bool):
+                p.add_argument(flag, dest=f.name, action="store_const", const=not f.default)
+            else:
+                help_text = "comma-separated" if isinstance(f.default, tuple) else None
+                p.add_argument(flag, dest=f.name, help=help_text)
     return parser
 
 
 def resolve_config(args):
-    values = {}
-    if args.config:
-        values.update(load_config_file(args.config))
-    for key in RunConfig.__dataclass_fields__:
-        flag_value = getattr(args, key, None)
-        if flag_value is None:
-            continue
-        if key in _LIST_FIELDS and isinstance(flag_value, str):
-            flag_value = _coerce_field(key, flag_value)
-        values[key] = flag_value
-    config = RunConfig(**values)
+    """INI values overlaid with the flags that were given; text values are
+    typed by `_coerce`, values that are already typed pass unchanged."""
+    values = load_config_file(args.config) if args.config else {}
+    for name in _FIELDS:
+        if getattr(args, name, None) is not None:
+            values[name] = getattr(args, name)
+    config = RunConfig(**{
+        name: _coerce(_FIELDS[name], v) if isinstance(v, str) else v
+        for name, v in values.items()
+    })
     config.validate()
     return config
 
@@ -306,13 +276,10 @@ def _load_wordlists(config):
 
 
 def _read_corpus(config):
-    _require(_paths(config)["corpus"], "preprocess")
-    stories = []
-    with open(_paths(config)["corpus"], encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                stories.append(textpipe.story_from_json(line))
-    return stories
+    path = _paths(config)["corpus"]
+    _require(path, "preprocess")
+    with open(path, encoding="utf-8") as fh:
+        return [textpipe.story_from_json(line) for line in fh if line.strip()]
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +345,6 @@ def _build_story_networks(config, story, relations, lexicon):
 
 def cmd_build(config):
     paths = _paths(config)
-    _require(paths["corpus"], "preprocess")
     stories = _read_corpus(config)
     relations = netbuild.load_relations(config.relations) if config.relations else None
     lexicon = affect.load_lexicon_file(config.lexicon) if config.lexicon else None
@@ -426,20 +392,14 @@ def cmd_build(config):
 def _read_networks(config):
     paths = _paths(config)
     _require(paths["networks"], "build")
-    nets = {}
     with open(paths["networks"], encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            record = json.loads(line)
-            net = netbuild.make_network(
-                record["nodes"],
-                [tuple(e) for e in record["edges"]],
-                record["builder"],
-                record.get("valence", {}),
+        records = (json.loads(line) for line in fh if line.strip())
+        return {
+            (r["story_id"], r["builder"]): netbuild.make_network(
+                r["nodes"], [tuple(e) for e in r["edges"]], r["builder"], r.get("valence", {})
             )
-            nets[(record["story_id"], record["builder"])] = net
-    return nets
+            for r in records
+        }
 
 
 def cmd_features(config):
@@ -470,11 +430,10 @@ def cmd_features(config):
 
 def cmd_spread(config):
     paths = _paths(config)
-    _require(paths["corpus"], "preprocess")
+    stories = _read_corpus(config)
     nets_by_story = {}
     for (story_id, builder), net in _read_networks(config).items():
         nets_by_story.setdefault(story_id, {})[builder] = net
-    stories = _read_corpus(config)
     outputs = []
     for retention in config.retention:
         traces = {}
@@ -496,11 +455,10 @@ def cmd_spread(config):
 
 def cmd_emotions(config):
     paths = _paths(config)
-    _require(paths["corpus"], "preprocess")
+    stories = _read_corpus(config)
     if not config.lexicon:
         raise InputFormatError("emotions requires --lexicon")
     lexicon = affect.load_lexicon_file(config.lexicon)
-    stories = _read_corpus(config)
     profiles = {s.id: affect.profile_story(s.sentences, lexicon) for s in stories}
     paths["emotions"].write_text(affect.emotions_csv(profiles), encoding="utf-8")
     _write_manifest(
@@ -509,37 +467,27 @@ def cmd_emotions(config):
     return 0
 
 
-def _read_features_csv(path, names):
-    """{builder: {story_id: {name: value}}} for the named features.csv columns."""
-    structural = {}
+def _read_csv(path, names, keys):
+    """{row[keys[0]]: {row[keys[1]]: ... {name: value}}} for the named numeric
+    columns of an upstream CSV; a missing column or a value that is not a
+    finite number is bad input."""
+    table = {}
     with open(path, encoding="utf-8", newline="") as fh:
-        for row in csv.DictReader(fh):
-            structural.setdefault(row["builder"], {})[row["story_id"]] = {
-                name: float(row[name]) for name in names
-            }
-    return structural
-
-
-def _read_stationary_csv(path):
-    alphas = {}
-    with open(path, encoding="utf-8", newline="") as fh:
-        for row in csv.DictReader(fh):
-            alphas.setdefault(row["builder"], {})[row["story_id"]] = (
-                float(row["alpha1"]),
-                float(row["alpha2"]),
-                float(row["alpha3"]),
-            )
-    return alphas
-
-
-def _read_emotions_csv(path):
-    emotions = {}
-    with open(path, encoding="utf-8", newline="") as fh:
-        for row in csv.DictReader(fh):
-            emotions[row["story_id"]] = {
-                name: float(row[name]) for name in EMOTION_FEATURE_NAMES
-            }
-    return emotions
+        reader = csv.DictReader(fh)
+        for row in reader:
+            try:
+                values = {name: float(row[name]) for name in names}
+                if not all(map(math.isfinite, values.values())):
+                    raise ValueError(f"non-finite value in {values}")
+                node = table
+                for key in keys[:-1]:
+                    node = node.setdefault(row[key], {})
+                node[row[keys[-1]]] = values
+            except (KeyError, TypeError, ValueError) as exc:
+                raise InputFormatError(
+                    f"{path}, line {reader.line_num}: {type(exc).__name__}: {exc}"
+                ) from None
+    return table
 
 
 def _collect_targets(stories, wanted):
@@ -564,17 +512,18 @@ def _model_specs(config):
 
 def cmd_evaluate(config):
     paths = _paths(config)
+    stationary = _stationary_path(config, config.retention[0])
     _require(paths["features"], "features")
-    retention = config.retention[0]
-    _require(_stationary_path(config, retention), "spread")
+    _require(stationary, "spread")
     _require(paths["emotions"], "emotions")
     stories = _read_corpus(config)
+    per_cell = ("builder", "story_id")
+    structural = _read_csv(paths["features"], graphmetrics.STRUCTURAL_FEATURE_NAMES, per_cell)
+    alphas = _read_csv(stationary, ("alpha1", "alpha2", "alpha3"), per_cell)
     features = CorpusFeatures(
-        structural=_read_features_csv(
-            paths["features"], graphmetrics.STRUCTURAL_FEATURE_NAMES
-        ),
-        alphas=_read_stationary_csv(_stationary_path(config, retention)),
-        emotions=_read_emotions_csv(paths["emotions"]),
+        structural=structural,
+        alphas={b: {s: tuple(a.values()) for s, a in rows.items()} for b, rows in alphas.items()},
+        emotions=_read_csv(paths["emotions"], EMOTION_FEATURE_NAMES, ("story_id",)),
         targets=_collect_targets(stories, config.targets),
     )
     builders = [b for b in config.active_builders() if b in features.structural]
@@ -606,7 +555,7 @@ def cmd_evaluate(config):
         "evaluate",
         [
             paths["features"],
-            _stationary_path(config, retention),
+            stationary,
             paths["emotions"],
             paths["corpus"],
         ],
@@ -654,8 +603,10 @@ def _write_attributions(config, features, results, target):
 def cmd_compare_builders(config):
     paths = _paths(config)
     _require(paths["features"], "features")
-    values_by_builder = _read_features_csv(
-        paths["features"], graphmetrics.STRUCTURAL_FEATURE_NAMES + ("n_components",)
+    values_by_builder = _read_csv(
+        paths["features"],
+        graphmetrics.STRUCTURAL_FEATURE_NAMES + ("n_components",),
+        ("builder", "story_id"),
     )
     table = stats.builder_comparison_csv(
         values_by_builder, n_perm=config.n_perm, rng_seed=config.rng_seed
@@ -726,6 +677,8 @@ _COMMANDS = {
     "report": cmd_report,
 }
 
+STAGES = tuple(_COMMANDS)
+
 
 def main(argv=None):
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(message)s")
@@ -735,15 +688,11 @@ def main(argv=None):
         config = resolve_config(args)
         Path(config.out_dir).mkdir(parents=True, exist_ok=True)
         return _COMMANDS[args.command](config)
-    except MissingUpstreamError as exc:
+    except (MissingUpstreamError, ConvergenceError, InputFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except ConvergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except (InputFormatError, FileNotFoundError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        if isinstance(exc, MissingUpstreamError):
+            return 3
+        return 4 if isinstance(exc, ConvergenceError) else 2
 
 
 if __name__ == "__main__":

@@ -49,8 +49,8 @@ _BLOCK_NAMES = {
 class FeatureTable:
     """One design matrix: a row per story, a column per named feature.
 
-    Indexing with a slice or an integer index array returns the sub-table
-    of those rows.
+    Every value must be finite.  Indexing with a slice or an integer index
+    array returns the sub-table of those rows.
     """
 
     story_ids: tuple[str, ...]
@@ -67,6 +67,8 @@ class FeatureTable:
                 f"feature table of {n_rows} stories x {n_features} feature names "
                 f"cannot hold X {self.X.shape} and y {self.y.shape}"
             )
+        if not (np.isfinite(self.X).all() and np.isfinite(self.y).all()):
+            raise ValueError("feature table holds a NaN or infinite value")
 
     def __len__(self):
         return len(self.story_ids)

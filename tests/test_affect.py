@@ -51,6 +51,14 @@ class TestLoadLexicon:
         with pytest.raises(InputFormatError, match="flag"):
             load_lexicon("cat\tjoy\t2\n")
 
+    def test_valence_sets_built_once(self):
+        lex = load_lexicon(LEXICON_TSV)
+        assert lex.positive_words is lex.positive_words
+        assert lex.negative_words is lex.negative_words
+        assert lex.positive_words == {w for w, ls in lex.entries.items() if "positive" in ls}
+        assert {"grim", "sad", "gloom"} <= lex.negative_words
+        assert not lex.positive_words & lex.negative_words
+
 
 def parsed_sentence(specs):
     """specs: list of (lemma, head or None, deprel or None)."""

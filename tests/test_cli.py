@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -215,6 +216,23 @@ class TestPipeline:
             manifest = json.loads(manifest_path.read_text())
             assert manifest["config_hash"] == expected
 
+    @pytest.mark.parametrize("stage", ["evaluate", "compare-builders"])
+    def test_non_finite_feature_is_bad_input(self, pipeline, tmp_path, capsys, stage):
+        source, config = pipeline
+        out = tmp_path / "out"
+        shutil.copytree(source / "out", out)
+        lines = (out / "features.csv").read_text(encoding="utf-8").splitlines()
+        header = lines[0].split(",")
+        cells = lines[3].split(",")
+        cells[header.index("density")] = "nan"
+        lines[3] = ",".join(cells)
+        (out / "features.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        before = {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()}
+        assert main([stage, "--config", str(config), "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "features.csv, line 4" in err
+        assert {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()} == before
+
     def test_stages_are_idempotent(self, pipeline):
         tmp_path, config = pipeline
         before = {
@@ -291,6 +309,16 @@ class TestExitCodes:
         assert overridden.rng_seed == 99
         assert overridden.builders == ("TFMN",)
         assert config_hash(overridden) != config_hash(from_file)
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--shap-samples", "5"), ("--n-perm", "0"), ("--n-perm", "-3"), ("--shap-max-rows", "-1")],
+    )
+    def test_option_value_that_would_crash_late_is_rejected(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "out"
+        assert main(["evaluate", "--out-dir", str(out), flag, value]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_enrich_without_relations_rejected(self, tmp_path):
         stories_csv, conllu, lexicon = write_corpus(tmp_path, n_stories=3)

@@ -121,6 +121,18 @@ class TestFeatureTable:
         with pytest.raises(ValueError, match="feature table"):
             FeatureTable(table.story_ids, table.names, table.X, table.y[:-1], "synthetic", "All")
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["X", "y"])
+    def test_non_finite_value_rejected(self, bad, where):
+        table, _ = planted_feature_rows(n_rows=30, n_features=3, noise=0.1, rng_seed=15)
+        X, y = table.X.copy(), table.y.copy()
+        if where == "X":
+            X[4, 1] = bad
+        else:
+            y[7] = bad
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            FeatureTable(table.story_ids, table.names, X, y, "synthetic", "All")
+
 
 class TestFoldModels:
     @pytest.mark.parametrize("kind", ["linear", "gradient_boosting"])
