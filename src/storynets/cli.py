@@ -53,9 +53,8 @@ _NEGATED_FLAGS = {"with_baseline": "--no-baseline"}  # the one bool field defaul
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Every option of a run.  Each field is an INI key and a flag of the
-    same name (`--no-baseline` for `with_baseline`); its default sets the
-    type a value is read as, and a default of None marks a path."""
+    """Every option of a run: each field is an INI key and a flag of the same
+    name (`--no-baseline` for `with_baseline`); its default sets its type."""
 
     stories_csv: str | None = None
     conllu: str | None = None
@@ -140,11 +139,14 @@ def config_hash(config):
 def load_config_file(path):
     """The [storynets] section of an INI file as {field: text}."""
     parser = configparser.ConfigParser()
-    if not parser.read(path):
-        raise InputFormatError(f"cannot read config file {path}")
-    if not parser.has_section("storynets"):
-        raise InputFormatError(f"{path}: missing [storynets] section")
-    values = dict(parser["storynets"])
+    try:
+        if not parser.read(path):
+            raise InputFormatError(f"cannot read config file {path}")
+        values = dict(parser["storynets"])
+    except KeyError:
+        raise InputFormatError(f"{path}: missing [storynets] section") from None
+    except configparser.Error as exc:
+        raise InputFormatError(f"{path}: {exc}") from None
     for key in values:
         if key not in _FIELDS:
             raise InputFormatError(f"{path}: unknown config key {key!r}")
@@ -152,9 +154,8 @@ def load_config_file(path):
 
 
 def _coerce(field, text):
-    """One option value, typed from the field's default: None means a path
-    (empty text gives None), a tuple a comma-separated list of its first
-    element's type, a bool one of the accepted words."""
+    """Option text typed from the field's default: None is a path (empty text
+    gives None), a tuple a comma-separated list, a bool a word of _BOOL_WORDS."""
     default = field.default
     text = text.strip()
     try:
@@ -468,9 +469,8 @@ def cmd_emotions(config):
 
 
 def _read_csv(path, names, keys):
-    """{row[keys[0]]: {row[keys[1]]: ... {name: value}}} for the named numeric
-    columns of an upstream CSV; a missing column or a value that is not a
-    finite number is bad input."""
+    """{row[keys[0]]: ... {name: float}} for the named columns of an upstream
+    CSV; a missing column or a value that is not a finite number is bad input."""
     table = {}
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
@@ -484,9 +484,7 @@ def _read_csv(path, names, keys):
                     node = node.setdefault(row[key], {})
                 node[row[keys[-1]]] = values
             except (KeyError, TypeError, ValueError) as exc:
-                raise InputFormatError(
-                    f"{path}, line {reader.line_num}: {type(exc).__name__}: {exc}"
-                ) from None
+                raise InputFormatError(f"{path}, line {reader.line_num}: {exc!r}") from None
     return table
 
 

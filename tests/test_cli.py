@@ -312,7 +312,12 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "flag, value",
-        [("--shap-samples", "5"), ("--n-perm", "0"), ("--n-perm", "-3"), ("--shap-max-rows", "-1")],
+        [
+            ("--shap-samples", "5"),
+            ("--n-perm", "0"),
+            ("--n-perm", "-3"),
+            ("--shap-max-rows", "-1"),
+        ],
     )
     def test_option_value_that_would_crash_late_is_rejected(self, tmp_path, capsys, flag, value):
         out = tmp_path / "out"
@@ -477,17 +482,16 @@ class TestOptionParity:
         # enrich_tfmn needs a relations file, so both sides carry one
         relations = tmp_path / "relations.tsv"
         relations.write_text("a\tb\tsynonym\n", encoding="utf-8")
-        base = f"[storynets]\nrelations = {relations}\n" if field != "relations" else "[storynets]\n"
+        base = "[storynets]\n" + (f"relations = {relations}\n" if field != "relations" else "")
         plain_ini = tmp_path / "plain.ini"
         plain_ini.write_text(base, encoding="utf-8")
         set_ini = tmp_path / "set.ini"
         set_ini.write_text(base + f"{field} = {text}\n", encoding="utf-8")
 
         default = RunConfig.__dataclass_fields__[field].default
-        if isinstance(default, bool):
-            flag = ["--no-baseline"] if field == "with_baseline" else ["--" + field.replace("_", "-")]
-        else:
-            flag = ["--" + field.replace("_", "-"), text]
+        flag = ["--no-baseline" if field == "with_baseline" else "--" + field.replace("_", "-")]
+        if not isinstance(default, bool):
+            flag.append(text)
         from_flag = _resolve(["report", "--config", str(plain_ini), *flag])
         from_ini = _resolve(["report", "--config", str(set_ini)])
         assert getattr(from_ini, field) != default
@@ -504,6 +508,21 @@ class TestMalformedOptionValues:
     def test_malformed_ini_value_exits_2(self, tmp_path, capsys, line):
         ini = tmp_path / "bad.ini"
         ini.write_text(f"[storynets]\nout_dir = {tmp_path / 'out'}\n{line}\n", encoding="utf-8")
+        assert main(["report", "--config", str(ini)]) == 2
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "out_dir = o\n",  # no section header
+            "[other]\nfolds = 2\n",
+            "[storynets]\nfolds = 2\nfolds = 3\n",
+            "[storynets]\nout_dir = o%1\n",  # bad interpolation
+        ],
+    )
+    def test_malformed_ini_file_exits_2(self, tmp_path, capsys, text):
+        ini = tmp_path / "bad.ini"
+        ini.write_text(text, encoding="utf-8")
         assert main(["report", "--config", str(ini)]) == 2
         assert "error:" in capsys.readouterr().err
 
