@@ -10,8 +10,6 @@ in closed form, and `run_to_stationarity` iterates to it.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -185,24 +183,11 @@ def prompt_alphas(story, nets, retention=DEFAULT_RETENTION):
     return out
 
 
-def trajectory_csv(traces_by_story_builder, limit=TRACE_EXPORT_STEPS):
-    """Long-format seed-activation series, first `limit` steps per trace."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["step", "story_id", "builder", "seed", "value"])
-    for (story_id, builder), traces in traces_by_story_builder.items():
+def trajectory_rows(traces_by_story_builder):
+    """Header, then the long-format seed-activation series of every trace;
+    takes ((story_id, builder), traces) pairs, so they may be streamed."""
+    yield ("step", "story_id", "builder", "seed", "value")
+    for (story_id, builder), traces in traces_by_story_builder:
         for trace in traces:
-            for step_no, value in enumerate(trace.seed_series[: limit + 1]):
-                writer.writerow([step_no, story_id, builder, trace.seed, repr(float(value))])
-    return out.getvalue()
-
-
-def stationary_csv(traces_by_story_builder):
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["story_id", "builder", "alpha1", "alpha2", "alpha3"])
-    for (story_id, builder), traces in traces_by_story_builder.items():
-        writer.writerow(
-            [story_id, builder] + [repr(float(t.stationary_alpha)) for t in traces]
-        )
-    return out.getvalue()
+            for step_no, value in enumerate(trace.seed_series):
+                yield (step_no, story_id, builder, trace.seed, value)

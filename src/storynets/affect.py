@@ -9,8 +9,6 @@ emotion on the Plutchik wheel.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -238,17 +236,16 @@ def profile_story(sentences, lexicon, cues=DEFAULT_NEGATION_CUES):
     return emotion_zscores(counts, m, lexicon)
 
 
-def emotions_csv(profiles_by_story):
-    """story_id, eight z columns, eight over/under flag columns."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    header = ["story_id"]
-    header += [f"z_{e}" for e in PLUTCHIK_EMOTIONS]
-    header += [f"{e}_flag" for e in PLUTCHIK_EMOTIONS]
-    writer.writerow(header)
+def emotion_rows(profiles_by_story):
+    """Header, then story_id, eight z columns and eight over/under flags per story."""
+    yield (
+        "story_id",
+        *(f"z_{e}" for e in PLUTCHIK_EMOTIONS),
+        *(f"{e}_flag" for e in PLUTCHIK_EMOTIONS),
+    )
     for story_id, profile in profiles_by_story.items():
-        row = [story_id]
-        row += [repr(float(profile.z[e])) for e in PLUTCHIK_EMOTIONS]
-        row += [profile.flag(e) for e in PLUTCHIK_EMOTIONS]
-        writer.writerow(row)
-    return out.getvalue()
+        yield (
+            story_id,
+            *(float(profile.z[e]) for e in PLUTCHIK_EMOTIONS),
+            *(profile.flag(e) for e in PLUTCHIK_EMOTIONS),
+        )

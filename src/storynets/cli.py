@@ -4,7 +4,9 @@ Subcommands: preprocess, build, features, spread, emotions, evaluate,
 compare-builders, report.  An INI config file can supply every option;
 flags override file values.  All artifacts are deterministic for a fixed
 config, and every stage writes a manifest with the config hash and input
-digests.
+digests.  Every artifact is read and written here: `_read_csv` reads the
+upstream CSVs back, and `_write` moves each file into place only once it
+is complete, so a failed stage never leaves a partial file.
 
 Exit codes: 0 ok, 2 bad input, 3 missing upstream stage output,
 4 numerical non-convergence (PageRank in `features`).
@@ -19,6 +21,7 @@ import hashlib
 import json
 import logging
 import math
+import os
 import sys
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
@@ -30,7 +33,7 @@ from .errors import ConvergenceError, InputFormatError, MissingUpstreamError
 from .mlharness import (
     CorpusFeatures,
     ModelSpec,
-    attribution_csv,
+    attribution_rows,
     fold_models,
     run_matrix,
     select_best,
@@ -111,6 +114,11 @@ class RunConfig:
             raise InputFormatError(f"shap_samples must be >= {MIN_SAMPLES}")
         if self.shap_max_rows < 0:
             raise InputFormatError("shap_max_rows must be >= 0")
+        for name in ("models", "feature_configs", "retention", "targets"):
+            if not getattr(self, name):
+                raise InputFormatError(f"{name} must not be empty")
+        if not self.active_builders():
+            raise InputFormatError("no builder left once window_sizes is applied")
         for f in fields(self):
             value = getattr(self, f.name)
             if f.default is None and value is not None and not Path(value).exists():
@@ -242,6 +250,26 @@ def _file_digest(path):
     return h.hexdigest()
 
 
+def _write(path, write):
+    """Call `write(fh)` on `<name>.part` beside `path`, then move the finished
+    file onto `path`; on any failure the part file is removed."""
+    path = Path(path)
+    part = path.with_name(path.name + ".part")
+    try:
+        with open(part, "w", encoding="utf-8", newline="") as fh:
+            write(fh)
+        os.replace(part, path)
+    except BaseException:
+        part.unlink(missing_ok=True)
+        raise
+    return path
+
+
+def _write_csv(path, rows):
+    """Rows (header first) of Python scalars; a float is written as its repr."""
+    return _write(path, lambda fh: csv.writer(fh, lineterminator="\n").writerows(rows))
+
+
 def _write_manifest(config, stage, inputs, outputs):
     out = Path(config.out_dir)
     manifest = {
@@ -251,9 +279,8 @@ def _write_manifest(config, stage, inputs, outputs):
         "inputs": {str(p): _file_digest(p) for p in inputs if Path(p).exists()},
         "outputs": [str(p) for p in outputs],
     }
-    path = out / f"manifest_{stage.replace('-', '_')}.json"
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    return path
+    text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+    return _write(out / f"manifest_{stage.replace('-', '_')}.json", lambda fh: fh.write(text))
 
 
 def _require(path, stage_to_run):
@@ -311,37 +338,20 @@ def cmd_preprocess(config):
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths = _paths(config)
-    with open(paths["corpus"], "w", encoding="utf-8") as fh:
-        for story in kept:
-            fh.write(textpipe.story_to_json(story) + "\n")
-    with open(paths["exclusions"], "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["story_id", "unmatched_prompts"])
-        for story_id, missing in excluded:
-            writer.writerow([story_id, ";".join(missing)])
+    lines = (textpipe.story_to_json(story) + "\n" for story in kept)
+    _write(paths["corpus"], lambda fh: fh.writelines(lines))
+    _write_csv(
+        paths["exclusions"],
+        [("story_id", "unmatched_prompts")] + [(sid, ";".join(m)) for sid, m in excluded],
+    )
     outputs = [paths["corpus"], paths["exclusions"]]
     if config.export_conllu:
-        conllu_out = out / "corpus.conllu"
-        conllu_out.write_text(
-            textpipe.write_conllu({s.id: s.sentences for s in kept}), encoding="utf-8"
-        )
-        outputs.append(conllu_out)
+        conllu = textpipe.write_conllu({s.id: s.sentences for s in kept})
+        outputs.append(_write(out / "corpus.conllu", lambda fh: fh.write(conllu)))
     inputs = [p for p in (config.stories_csv, config.conllu) if p]
     _write_manifest(config, "preprocess", inputs, outputs)
     log.info("retained %d stories, excluded %d", len(kept), len(excluded))
     return 0
-
-
-def _build_story_networks(config, story, relations, lexicon):
-    builders = config.active_builders()
-    nets = netbuild.build_all_variants(
-        story,
-        radius=config.radius,
-        relations=relations,
-        lexicon=lexicon,
-        enrich_tfmn=config.enrich_tfmn,
-    )
-    return {tag: nets[tag] for tag in builders if tag in nets}
 
 
 def cmd_build(config):
@@ -349,44 +359,50 @@ def cmd_build(config):
     stories = _read_corpus(config)
     relations = netbuild.load_relations(config.relations) if config.relations else None
     lexicon = affect.load_lexicon_file(config.lexicon) if config.lexicon else None
-    tfmn_requested = "TFMN" in config.active_builders()
+    builders = config.active_builders()
+    if "TFMN" in builders:
+        for story in stories:
+            if not any(t.head_index is not None for t in story.all_tokens()) and any(
+                len(s) > 1 for s in story.sentences
+            ):
+                raise InputFormatError(
+                    f"story {story.id} has no dependency parse; supply --conllu at "
+                    "preprocess time or drop TFMN from --builders"
+                )
     paths["edges_dir"].mkdir(parents=True, exist_ok=True)
     if config.export_graphml:
         paths["graphml_dir"].mkdir(parents=True, exist_ok=True)
-    records = []
     edge_files = []
-    for story in stories:
-        if tfmn_requested and not any(
-            t.head_index is not None for t in story.all_tokens()
-        ) and any(len(s) > 1 for s in story.sentences):
-            raise InputFormatError(
-                f"story {story.id} has no dependency parse; supply --conllu at "
-                "preprocess time or drop TFMN from --builders"
+
+    def write_networks(fh):
+        for story in stories:
+            nets = netbuild.build_all_variants(
+                story, radius=config.radius, relations=relations, lexicon=lexicon,
+                enrich_tfmn=config.enrich_tfmn,
             )
-        nets = _build_story_networks(config, story, relations, lexicon)
-        for tag, net in nets.items():
-            records.append(
-                {
+            for tag in builders:
+                net = nets[tag]
+                record = {
                     "story_id": story.id,
                     "builder": tag,
                     "nodes": sorted(net.nodes),
                     "edges": [list(e) for e in sorted(net.edges)],
                     "valence": {n: net.valence[n] for n in sorted(net.valence)},
                 }
-            )
-            edge_path = paths["edges_dir"] / f"{story.id}__{tag}.csv"
-            edge_path.write_text(netbuild.edge_list_csv(net), encoding="utf-8")
-            edge_files.append(edge_path)
-            if config.export_graphml:
-                gpath = paths["graphml_dir"] / f"{story.id}__{tag}.graphml"
-                gpath.write_text(netbuild.graphml(net), encoding="utf-8")
-    with open(paths["networks"], "w", encoding="utf-8") as fh:
-        for record in records:
-            fh.write(json.dumps(record, ensure_ascii=False) + "\n")
+                fh.write(json.dumps(record, ensure_ascii=False) + "\n")
+                name = f"{story.id}__{tag}"
+                edge_files.append(
+                    _write_csv(paths["edges_dir"] / f"{name}.csv", netbuild.edge_rows(net))
+                )
+                if config.export_graphml:
+                    graphml = netbuild.graphml(net)
+                    _write(paths["graphml_dir"] / f"{name}.graphml", lambda g: g.write(graphml))
+
+    _write(paths["networks"], write_networks)
     _write_manifest(
         config, "build", [paths["corpus"]], [paths["networks"]] + edge_files
     )
-    log.info("built %d networks for %d stories", len(records), len(stories))
+    log.info("built %d networks for %d stories", len(edge_files), len(stories))
     return 0
 
 
@@ -410,7 +426,7 @@ def cmd_features(config):
         key: graphmetrics.structural_features(net, damping=config.pagerank_damping)
         for key, net in nets.items()
     }
-    paths["features"].write_text(graphmetrics.features_csv_rows(feats), encoding="utf-8")
+    _write_csv(paths["features"], graphmetrics.feature_rows(feats))
     paths["histograms_dir"].mkdir(parents=True, exist_ok=True)
     outputs = [paths["features"]]
     by_builder = {}
@@ -418,12 +434,11 @@ def cmd_features(config):
         by_builder.setdefault(builder, []).append(f)
     for builder, rows in sorted(by_builder.items()):
         for name in graphmetrics.STRUCTURAL_FEATURE_NAMES + ("n_components",):
-            hist_path = paths["histograms_dir"] / f"{name}__{builder}.csv"
-            hist_path.write_text(
-                graphmetrics.histogram_csv(f.as_dict()[name] for f in rows),
-                encoding="utf-8",
-            )
-            outputs.append(hist_path)
+            values = (f.as_dict()[name] for f in rows)
+            outputs.append(_write_csv(
+                paths["histograms_dir"] / f"{name}__{builder}.csv",
+                graphmetrics.histogram_rows(values),
+            ))
     _write_manifest(config, "features", [paths["networks"]], outputs)
     log.info("wrote structural features for %d networks", len(feats))
     return 0
@@ -437,19 +452,23 @@ def cmd_spread(config):
         nets_by_story.setdefault(story_id, {})[builder] = net
     outputs = []
     for retention in config.retention:
-        traces = {}
-        for story in stories:
-            story_nets = nets_by_story.get(story.id)
-            if not story_nets:
-                continue
-            per_builder = activation.prompt_alphas(story, story_nets, retention=retention)
-            for builder, trace_triple in per_builder.items():
-                traces[(story.id, builder)] = trace_triple
-        spath = _stationary_path(config, retention)
-        tpath = _trajectory_path(config, retention)
-        spath.write_text(activation.stationary_csv(traces), encoding="utf-8")
-        tpath.write_text(activation.trajectory_csv(traces), encoding="utf-8")
-        outputs.extend([spath, tpath])
+        alphas = [("story_id", "builder", "alpha1", "alpha2", "alpha3")]
+
+        def traces():
+            # one story's traces at a time; only their alphas are kept
+            for story in stories:
+                story_nets = nets_by_story.get(story.id)
+                if not story_nets:
+                    continue
+                per_builder = activation.prompt_alphas(story, story_nets, retention=retention)
+                for builder, triple in per_builder.items():
+                    alphas.append((story.id, builder, *(t.stationary_alpha for t in triple)))
+                    yield (story.id, builder), triple
+
+        tpath = _write_csv(
+            _trajectory_path(config, retention), activation.trajectory_rows(traces())
+        )
+        outputs.extend([_write_csv(_stationary_path(config, retention), alphas), tpath])
     _write_manifest(config, "spread", [paths["corpus"], paths["networks"]], outputs)
     return 0
 
@@ -461,7 +480,7 @@ def cmd_emotions(config):
         raise InputFormatError("emotions requires --lexicon")
     lexicon = affect.load_lexicon_file(config.lexicon)
     profiles = {s.id: affect.profile_story(s.sentences, lexicon) for s in stories}
-    paths["emotions"].write_text(affect.emotions_csv(profiles), encoding="utf-8")
+    _write_csv(paths["emotions"], affect.emotion_rows(profiles))
     _write_manifest(
         config, "emotions", [paths["corpus"], config.lexicon], [paths["emotions"]]
     )
@@ -525,6 +544,16 @@ def cmd_evaluate(config):
         targets=_collect_targets(stories, config.targets),
     )
     builders = [b for b in config.active_builders() if b in features.structural]
+    # a table's stories do not depend on its feature config
+    first_config = config.feature_configs[0]
+    smallest = min(
+        (len(features.rows(b, first_config, t)) for b in builders for t in config.targets),
+        default=0,
+    )
+    if config.folds > smallest:
+        raise InputFormatError(
+            f"folds={config.folds} exceeds the {smallest} rows of the smallest feature table"
+        )
     results = run_matrix(
         features,
         config.targets,
@@ -542,23 +571,12 @@ def cmd_evaluate(config):
             target: select_best(results, target).to_dict() for target in config.targets
         },
     }
-    paths["results"].write_text(
-        json.dumps(payload, indent=2, ensure_ascii=False) + "\n", encoding="utf-8"
-    )
-    outputs = [paths["results"]]
+    text = json.dumps(payload, indent=2, ensure_ascii=False) + "\n"
+    outputs = [_write(paths["results"], lambda fh: fh.write(text))]
     for target in config.targets:
         outputs.append(_write_attributions(config, features, results, target))
-    _write_manifest(
-        config,
-        "evaluate",
-        [
-            paths["features"],
-            stationary,
-            paths["emotions"],
-            paths["corpus"],
-        ],
-        outputs,
-    )
+    inputs = [paths["features"], stationary, paths["emotions"], paths["corpus"]]
+    _write_manifest(config, "evaluate", inputs, outputs)
     return 0
 
 
@@ -589,13 +607,11 @@ def _write_attributions(config, features, results, target):
             remaining -= len(take)
             if remaining <= 0:
                 break
-    path = Path(config.out_dir) / f"attributions_{target}.csv"
+    rows = [("story_id",)]
     if blocks:
         merged = replace(blocks[0], values=np.vstack([b.values for b in blocks]))
-        path.write_text(attribution_csv(explained_ids, merged), encoding="utf-8")
-    else:
-        path.write_text("story_id\n", encoding="utf-8")
-    return path
+        rows = attribution_rows(explained_ids, merged)
+    return _write_csv(Path(config.out_dir) / f"attributions_{target}.csv", rows)
 
 
 def cmd_compare_builders(config):
@@ -606,10 +622,12 @@ def cmd_compare_builders(config):
         graphmetrics.STRUCTURAL_FEATURE_NAMES + ("n_components",),
         ("builder", "story_id"),
     )
-    table = stats.builder_comparison_csv(
-        values_by_builder, n_perm=config.n_perm, rng_seed=config.rng_seed
+    _write_csv(
+        paths["comparison"],
+        stats.builder_comparison_rows(
+            values_by_builder, n_perm=config.n_perm, rng_seed=config.rng_seed
+        ),
     )
-    paths["comparison"].write_text(table, encoding="utf-8")
     _write_manifest(config, "compare-builders", [paths["features"]], [paths["comparison"]])
     return 0
 
@@ -658,7 +676,7 @@ def cmd_report(config):
         lines.append("")
         lines.append(f"builder comparison table: {paths['comparison']}")
     text = "\n".join(lines) + "\n"
-    paths["report"].write_text(text, encoding="utf-8")
+    _write(paths["report"], lambda fh: fh.write(text))
     sys.stdout.write(text)
     _write_manifest(config, "report", [paths["results"]], [paths["report"]])
     return 0

@@ -9,8 +9,6 @@ rows stay complete.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -152,31 +150,17 @@ def structural_features(net, damping=0.85):
     )
 
 
-def features_csv_rows(features_by_story_builder):
-    """Rows for the features CSV: one per (story, builder)."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    header = ["story_id", "builder"] + list(STRUCTURAL_FEATURE_NAMES) + ["n_components"]
-    writer.writerow(header)
+def feature_rows(features_by_story_builder):
+    """Header, then one features row per (story, builder)."""
+    yield ("story_id", "builder") + STRUCTURAL_FEATURE_NAMES + ("n_components",)
     for (story_id, builder), feats in features_by_story_builder.items():
-        d = feats.as_dict()
-        writer.writerow(
-            [story_id, builder]
-            + [repr(d[name]) for name in STRUCTURAL_FEATURE_NAMES]
-            + [repr(d["n_components"])]
-        )
-    return out.getvalue()
+        yield (story_id, builder, *feats.as_dict().values())
 
 
-def histogram_csv(values, bins=20):
-    """Bin edges and counts for one feature/builder distribution."""
+def histogram_rows(values, bins=20):
+    """Header, then bin edges and count for one feature/builder distribution."""
+    yield ("bin_left", "bin_right", "count")
     arr = np.asarray(list(values), dtype=float)
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["bin_left", "bin_right", "count"])
-    if arr.size == 0:
-        return out.getvalue()
-    counts, edges = np.histogram(arr, bins=bins)
-    for i, count in enumerate(counts):
-        writer.writerow([repr(float(edges[i])), repr(float(edges[i + 1])), int(count)])
-    return out.getvalue()
+    if arr.size:
+        counts, edges = np.histogram(arr, bins=bins)
+        yield from zip(edges[:-1].tolist(), edges[1:].tolist(), counts.tolist())

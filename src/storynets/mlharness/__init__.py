@@ -24,7 +24,7 @@ from .models import (
     fit,
     predict_matrix,
 )
-from .shapley import ShapleyResult, attribution_csv, shapley_attribution
+from .shapley import ShapleyResult, attribution_rows, shapley_attribution
 from .synthetic import planted_feature_rows, planted_linear_data
 
 __all__ = [
@@ -40,7 +40,7 @@ __all__ = [
     "ShapleyResult",
     "SingularDesignWarning",
     "TrainedModel",
-    "attribution_csv",
+    "attribution_rows",
     "fit",
     "fold_models",
     "kfold_cv",

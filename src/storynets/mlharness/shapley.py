@@ -89,14 +89,8 @@ def _explain_row(model, x, background, n_samples, rng):
     return phi, se
 
 
-def attribution_csv(story_ids, result):
-    """story_id x feature matrix of attributions."""
-    import csv
-    import io
-
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["story_id"] + list(result.feature_names))
-    for story_id, row in zip(story_ids, result.values):
-        writer.writerow([story_id] + [repr(float(v)) for v in row])
-    return out.getvalue()
+def attribution_rows(story_ids, result):
+    """Header, then the story_id x feature matrix of attributions."""
+    yield ("story_id", *result.feature_names)
+    for story_id, row in zip(story_ids, result.values.tolist()):
+        yield (story_id, *row)

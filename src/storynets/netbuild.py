@@ -386,11 +386,11 @@ def build_all_variants(story, radius=3, relations=None, lexicon=None, enrich_tfm
     return nets
 
 
-def edge_list_csv(net):
-    """`source,target` rows, canonical pair order, lexicographically sorted."""
-    lines = ["source,target"]
-    lines.extend(f"{a},{b}" for a, b in sorted(net.edges))
-    return "\n".join(lines) + "\n"
+def edge_rows(net):
+    """Header, then the edges as (source, target) in canonical pair order,
+    lexicographically sorted."""
+    yield ("source", "target")
+    yield from sorted(net.edges)
 
 
 def _xml_escape(s):

@@ -5,8 +5,6 @@ rank correlations and MAE.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 import warnings
 from dataclasses import dataclass
@@ -205,8 +203,9 @@ def mae(pred, true):
     return float(np.mean(np.abs(pred - true)))
 
 
-def builder_comparison_csv(values_by_builder, n_perm=10_000, rng_seed=0):
-    """Pairwise sign-flip comparison of every shared feature across builders.
+def builder_comparison_rows(values_by_builder, n_perm=10_000, rng_seed=0):
+    """Header, then the pairwise sign-flip comparison of every shared feature
+    across builders.
 
     `values_by_builder` maps builder -> {story_id: {feature: value}}.
     Stories are paired by id; p-values are BH-adjusted jointly over all
@@ -231,14 +230,8 @@ def builder_comparison_csv(values_by_builder, n_perm=10_000, rng_seed=0):
                     x, y, n_perm=n_perm,
                     rng_seed=derive_seed(rng_seed, "compare", feature, b1, b2),
                 )
-                rows.append([feature, b1, b2, result.statistic, result.p_value])
+                rows.append((feature, b1, b2, result.statistic, result.p_value))
                 raw_ps.append(result.p_value)
-    adjusted = bh_fdr(raw_ps)
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["feature", "builder_a", "builder_b", "mean_difference", "p_raw", "p_bh"])
-    for row, p_adj in zip(rows, adjusted):
-        writer.writerow(
-            [row[0], row[1], row[2], repr(float(row[3])), repr(float(row[4])), repr(float(p_adj))]
-        )
-    return out.getvalue()
+    yield ("feature", "builder_a", "builder_b", "mean_difference", "p_raw", "p_bh")
+    for row, p_adj in zip(rows, bh_fdr(raw_ps)):
+        yield (*row, p_adj)

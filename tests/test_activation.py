@@ -10,10 +10,9 @@ from storynets.activation import (
     init_activation,
     prompt_alphas,
     run_to_stationarity,
-    stationary_csv,
     stationary_oracle,
     step,
-    trajectory_csv,
+    trajectory_rows,
 )
 from storynets.netbuild import build_all_variants, make_network
 
@@ -190,13 +189,13 @@ class TestExports:
         nets = build_all_variants(demo_story)
         per_builder = prompt_alphas(demo_story, nets)
         traces = {("demo1", tag): triple for tag, triple in per_builder.items()}
-        stat = stationary_csv(traces).splitlines()
-        assert stat[0] == "story_id,builder,alpha1,alpha2,alpha3"
-        assert len(stat) == 1 + len(nets)
-        traj = trajectory_csv(traces).splitlines()
-        assert traj[0] == "step,story_id,builder,seed,value"
+        assert len(traces) == len(nets)
+        assert all(len(triple) == 3 for triple in traces.values())
+        traj = list(trajectory_rows(traces.items()))
+        assert traj[0] == ("step", "story_id", "builder", "seed", "value")
         # at most 101 rows (steps 0..100) per (builder, seed) series
         assert len(traj) - 1 <= len(nets) * 3 * 101
+        assert all(type(row[4]) is float for row in traj[1:])
 
     def test_trace_invariants(self):
         net = path_graph("a", "b", "c", "d")

@@ -10,7 +10,7 @@ from storynets.affect import (
     detect_negations,
     emotion_counts,
     emotion_zscores,
-    emotions_csv,
+    emotion_rows,
     load_lexicon,
     profile_story,
 )
@@ -206,8 +206,9 @@ class TestProfileAndExport:
 
     def test_csv_columns(self, demo_story, demo_lexicon):
         profile = profile_story(demo_story.sentences, demo_lexicon)
-        lines = emotions_csv({"demo1": profile}).splitlines()
-        header = lines[0].split(",")
+        lines = list(emotion_rows({"demo1": profile}))
+        header = lines[0]
         assert header[0] == "story_id"
         assert len(header) == 1 + 8 + 8
         assert len(lines) == 2
+        assert all(type(z) is float for z in lines[1][1:9])

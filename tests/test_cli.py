@@ -6,7 +6,7 @@ import shutil
 import numpy as np
 import pytest
 
-from storynets import cli
+from storynets import activation, cli
 from storynets.cli import RunConfig, build_arg_parser, config_hash, main, resolve_config
 from storynets.mlharness import ModelSpec, cv, run_matrix
 
@@ -233,6 +233,41 @@ class TestPipeline:
         assert "error:" in err and "features.csv, line 4" in err
         assert {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()} == before
 
+    def test_folds_above_smallest_table_is_bad_input(self, pipeline, tmp_path, capsys):
+        source, config = pipeline
+        out = tmp_path / "out"
+        shutil.copytree(source / "out", out)
+        before = {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()}
+        argv = ["evaluate", "--config", str(config), "--out-dir", str(out), "--folds", "13"]
+        assert main(argv) == 2
+        assert "folds=13 exceeds the 12 rows" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()} == before
+
+    def test_stationary_table_has_one_row_per_network(self, pipeline):
+        tmp_path, _ = pipeline
+        lines = (tmp_path / "out" / "stationary_r0.5.csv").read_text().splitlines()
+        assert lines[0] == "story_id,builder,alpha1,alpha2,alpha3"
+        assert len(lines) == 1 + 12 * 7
+
+    def test_failed_stage_leaves_no_partial_file(self, pipeline, tmp_path, monkeypatch):
+        source, config = pipeline
+        out = tmp_path / "out"
+        shutil.copytree(source / "out", out)
+        before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+        real = activation.prompt_alphas
+        calls = []
+
+        def fail_on_second_story(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 2:
+                raise RuntimeError("diffusion failed")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(activation, "prompt_alphas", fail_on_second_story)
+        with pytest.raises(RuntimeError, match="diffusion failed"):
+            main(["spread", "--config", str(config), "--out-dir", str(out)])
+        assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
+
     def test_stages_are_idempotent(self, pipeline):
         tmp_path, config = pipeline
         before = {
@@ -311,19 +346,31 @@ class TestExitCodes:
         assert config_hash(overridden) != config_hash(from_file)
 
     @pytest.mark.parametrize(
-        "flag, value",
+        "argv",
         [
             ("--shap-samples", "5"),
             ("--n-perm", "0"),
             ("--n-perm", "-3"),
             ("--shap-max-rows", "-1"),
+            ("--models=",),
+            ("--builders=",),
+            ("--feature-configs=",),
+            ("--retention=",),
+            ("--targets=",),
+            ("--builders=coocc_WS2", "--window-sizes=3"),
         ],
+        ids="-".join,
     )
-    def test_option_value_that_would_crash_late_is_rejected(self, tmp_path, capsys, flag, value):
+    def test_option_value_that_would_crash_late_is_rejected(self, tmp_path, capsys, argv):
         out = tmp_path / "out"
-        assert main(["evaluate", "--out-dir", str(out), flag, value]) == 2
+        assert main(["evaluate", "--out-dir", str(out), *argv]) == 2
         assert "error:" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_empty_window_sizes_leaving_tfmn_is_legal(self):
+        config = _resolve(["evaluate", "--window-sizes="])
+        assert config.window_sizes == ()
+        assert config.active_builders() == ("TFMN",)
 
     def test_enrich_without_relations_rejected(self, tmp_path):
         stories_csv, conllu, lexicon = write_corpus(tmp_path, n_stories=3)
@@ -391,6 +438,22 @@ class TestExitCodes:
         assert main(["preprocess", "--stories-csv", str(stories_csv), "--out-dir", str(out)]) == 0
         assert main(["build", "--out-dir", str(out)]) == 2
         assert main(["build", "--out-dir", str(out), "--builders", "coocc_WS2"]) == 0
+
+    def test_build_checks_every_parse_before_writing(self, tmp_path):
+        stories_csv = tmp_path / "mixed.csv"
+        with open(stories_csv, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(["id", "prompt1", "prompt2", "prompt3", "text", "R"])
+            writer.writerow(["p1", "cat", "dog", "sun", "Cat dog sun walk.", "3"])
+            writer.writerow(["p2", "cat", "dog", "sun", "Cat dog sun walk.", "4"])
+        conllu = tmp_path / "p1.conllu"
+        conllu.write_text(chain_parse_block("p1", ["Cat", "dog", "sun", "walk"]), encoding="utf-8")
+        out = tmp_path / "out_mixed"
+        base = ["--stories-csv", str(stories_csv), "--out-dir", str(out)]
+        assert main(["preprocess", *base, "--conllu", str(conllu)]) == 0
+        assert main(["build", *base]) == 2
+        assert list((out / "edges").glob("*")) == []
+        assert not (out / "networks.jsonl").exists()
 
 
 class TestAttributionFolds:
@@ -529,3 +592,22 @@ class TestMalformedOptionValues:
     def test_malformed_list_flag_exits_2(self, tmp_path, capsys):
         assert main(["report", "--out-dir", str(tmp_path / "out"), "--window-sizes", "2,x"]) == 2
         assert "error:" in capsys.readouterr().err
+
+
+class TestWriter:
+    def test_floats_written_as_repr(self, tmp_path):
+        path = cli._write_csv(tmp_path / "t.csv", [("a", "b", "c", "count"), (0.1, 1e-17, 2.0, 3)])
+        assert path.read_text(encoding="utf-8") == "a,b,c,count\n0.1,1e-17,2.0,3\n"
+
+    def test_failed_write_keeps_old_file(self, tmp_path):
+        path = tmp_path / "t.txt"
+        path.write_text("old\n", encoding="utf-8")
+
+        def write(fh):
+            fh.write("partial")
+            raise OSError("disk full")
+
+        with pytest.raises(OSError, match="disk full"):
+            cli._write(path, write)
+        assert path.read_text(encoding="utf-8") == "old\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["t.txt"]

@@ -339,14 +339,13 @@ class TestExports:
     def test_features_csv_shape(self, demo_story):
         nets = build_all_variants(demo_story)
         feats = {("demo1", tag): structural_features(net) for tag, net in nets.items()}
-        text = graphmetrics.features_csv_rows(feats)
-        lines = text.splitlines()
-        assert lines[0].startswith("story_id,builder,n_nodes")
+        lines = list(graphmetrics.feature_rows(feats))
+        assert lines[0][:3] == ("story_id", "builder", "n_nodes")
         assert len(lines) == 1 + 7
 
     def test_histogram_csv(self):
-        text = graphmetrics.histogram_csv([1.0, 2.0, 2.5, 3.0], bins=4)
-        lines = text.splitlines()
-        assert lines[0] == "bin_left,bin_right,count"
-        counts = [int(line.split(",")[2]) for line in lines[1:]]
+        lines = list(graphmetrics.histogram_rows([1.0, 2.0, 2.5, 3.0], bins=4))
+        assert lines[0] == ("bin_left", "bin_right", "count")
+        counts = [row[2] for row in lines[1:]]
         assert sum(counts) == 4
+        assert all(type(c) is int for c in counts)

@@ -318,8 +318,8 @@ class TestNetworkInvariants:
 
     def test_exports_roundtrip(self, demo_story, demo_lexicon):
         net = build_all_variants(demo_story, lexicon=demo_lexicon)["TFMN"]
-        lines = netbuild.edge_list_csv(net).splitlines()
-        assert lines[0] == "source,target"
+        lines = list(netbuild.edge_rows(net))
+        assert lines[0] == ("source", "target")
         assert lines[1:] == sorted(lines[1:])
         parsed = parse_graphml(netbuild.graphml(net))
         assert parsed.nodes == net.nodes

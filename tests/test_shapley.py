@@ -3,7 +3,7 @@ import pytest
 
 from storynets.mlharness import (
     ModelSpec,
-    attribution_csv,
+    attribution_rows,
     fit,
     predict_matrix,
     shapley_attribution,
@@ -97,6 +97,7 @@ class TestInterface:
     def test_csv_export(self):
         model, X, _ = linear_setup(n_train=60, n_features=3, seed=10)
         result = shapley_attribution(model, X[:2], n_samples=200, rng_seed=8)
-        lines = attribution_csv(["a", "b"], result).splitlines()
-        assert lines[0] == "story_id," + ",".join(model.feature_names)
+        lines = list(attribution_rows(["a", "b"], result))
+        assert lines[0] == ("story_id", *model.feature_names)
         assert len(lines) == 3
+        assert all(type(v) is float for row in lines[1:] for v in row[1:])

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from storynets.stats import (
     CorrelationUndefinedWarning,
     bh_fdr,
-    builder_comparison_csv,
+    builder_comparison_rows,
     mae,
     paired_signflip_test,
     pearson,
@@ -210,11 +210,10 @@ class TestBuilderComparison:
             }
             for builder in ("coocc_WS2", "coocc_WS3", "TFMN")
         }
-        text = builder_comparison_csv(values, n_perm=200, rng_seed=0)
-        lines = text.splitlines()
-        assert lines[0] == "feature,builder_a,builder_b,mean_difference,p_raw,p_bh"
+        lines = list(builder_comparison_rows(values, n_perm=200, rng_seed=0))
+        assert lines[0] == ("feature", "builder_a", "builder_b", "mean_difference", "p_raw", "p_bh")
         assert len(lines) == 1 + 3 * 2  # 3 builder pairs x 2 features
-        for line in lines[1:]:
-            parts = line.split(",")
-            assert 0.0 <= float(parts[4]) <= 1.0
-            assert float(parts[5]) >= float(parts[4]) - 1e-12
+        for parts in lines[1:]:
+            assert 0.0 <= parts[4] <= 1.0
+            assert parts[5] >= parts[4] - 1e-12
+            assert all(type(v) is float for v in parts[3:])
