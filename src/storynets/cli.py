@@ -283,6 +283,16 @@ def _write_manifest(config, stage, inputs, outputs):
     return _write(out / f"manifest_{stage.replace('-', '_')}.json", lambda fh: fh.write(text))
 
 
+def _prune(directory, written):
+    """Remove the files under `directory` that this run did not write: per-network
+    files left by an earlier run with other builders or stories."""
+    keep = set(written)
+    if directory.is_dir():
+        for path in directory.iterdir():
+            if path.is_file() and path not in keep:
+                path.unlink()
+
+
 def _require(path, stage_to_run):
     if not Path(path).exists():
         raise MissingUpstreamError(path, stage_to_run)
@@ -372,7 +382,7 @@ def cmd_build(config):
     paths["edges_dir"].mkdir(parents=True, exist_ok=True)
     if config.export_graphml:
         paths["graphml_dir"].mkdir(parents=True, exist_ok=True)
-    edge_files = []
+    edge_files, graphml_files = [], []
 
     def write_networks(fh):
         for story in stories:
@@ -396,9 +406,13 @@ def cmd_build(config):
                 )
                 if config.export_graphml:
                     graphml = netbuild.graphml(net)
-                    _write(paths["graphml_dir"] / f"{name}.graphml", lambda g: g.write(graphml))
+                    graphml_files.append(_write(
+                        paths["graphml_dir"] / f"{name}.graphml", lambda g: g.write(graphml)
+                    ))
 
     _write(paths["networks"], write_networks)
+    _prune(paths["edges_dir"], edge_files)
+    _prune(paths["graphml_dir"], graphml_files)
     _write_manifest(
         config, "build", [paths["corpus"]], [paths["networks"]] + edge_files
     )
@@ -439,6 +453,7 @@ def cmd_features(config):
                 paths["histograms_dir"] / f"{name}__{builder}.csv",
                 graphmetrics.histogram_rows(values),
             ))
+    _prune(paths["histograms_dir"], outputs)
     _write_manifest(config, "features", [paths["networks"]], outputs)
     log.info("wrote structural features for %d networks", len(feats))
     return 0
@@ -632,9 +647,31 @@ def cmd_compare_builders(config):
     return 0
 
 
+def _retention_finding(config, stationary):
+    """One report line: whether the stationary alphas change with retention."""
+    tables = []
+    for path in stationary:
+        _require(path, "spread")
+        table = _read_csv(path, ("alpha1", "alpha2", "alpha3"), ("story_id", "builder"))
+        tables.append({
+            (story_id, builder, name): value
+            for story_id, per_builder in table.items()
+            for builder, alphas in per_builder.items()
+            for name, value in alphas.items()
+        })
+    head = "stationary alphas across retention " + ", ".join(f"{r:g}" for r in config.retention)
+    if any(t.keys() != tables[0].keys() for t in tables):
+        return f"{head}: the files cover different networks"
+    diff = max((abs(t[key] - tables[0][key]) for t in tables[1:] for key in t), default=0.0)
+    return f"{head}: " + ("identical" if diff == 0 else f"largest absolute difference {diff:.3g}")
+
+
 def cmd_report(config):
     paths = _paths(config)
     _require(paths["results"], "evaluate")
+    stationary = (
+        [_stationary_path(config, r) for r in config.retention] if len(config.retention) > 1 else []
+    )
     payload = json.loads(paths["results"].read_text(encoding="utf-8"))
     lines = ["storynets evaluation report", "=" * 60]
     results = payload["results"]
@@ -672,13 +709,16 @@ def cmd_report(config):
                 f"  real vs permuted MAE (one-sided Wilcoxon): W={test.statistic:g}, "
                 f"p={p_text}, n={test.n}"
             )
+    if stationary:
+        lines.append("")
+        lines.append(_retention_finding(config, stationary))
     if paths["comparison"].exists():
         lines.append("")
         lines.append(f"builder comparison table: {paths['comparison']}")
     text = "\n".join(lines) + "\n"
     _write(paths["report"], lambda fh: fh.write(text))
     sys.stdout.write(text)
-    _write_manifest(config, "report", [paths["results"]], [paths["report"]])
+    _write_manifest(config, "report", [paths["results"]] + stationary, [paths["report"]])
     return 0
 
 

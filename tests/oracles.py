@@ -5,18 +5,35 @@ force over all 2^n sign assignments; `parse_graphml` reads back the
 GraphML export for round-trip tests; `induced_subgraph` and `edge_hash`
 cut and fingerprint networks for graph tests; `fit_tree_reference` is the
 per-node, per-feature CART split search that `trees.fit_tree` must match
-bit for bit.
+bit for bit; `run_to_stationarity_reference` and `prompt_alphas_reference`
+run one diffusion at a time, the loop that the batched
+`activation.prompt_alphas` must match bit for bit, and `init_activation` /
+`step` are the dict-based single-step API over the same arithmetic.
 """
 
 import hashlib
 import itertools
 import xml.etree.ElementTree as ET
 
+from dataclasses import dataclass, replace
+
 import numpy as np
 
+from storynets.activation import (
+    DEFAULT_MAX_ITER,
+    DEFAULT_RETENTION,
+    DEFAULT_TOLERANCE,
+    TRACE_EXPORT_STEPS,
+    ActivationTrace,
+    MissingSeedError,
+    _check_retention,
+    _isolated_seed_trace,
+    stationary_oracle,
+)
 from storynets.mlharness.trees import TreeArrays
 from storynets.netbuild import LexicalNetwork, make_network
 from storynets.stats import TestResult, _average_ranks
+from storynets.textpipe import match_prompts
 
 
 def wilcoxon_exact_enumeration(x, y, alternative="two-sided"):
@@ -208,3 +225,100 @@ def fit_tree_reference(X, y, max_depth=None, min_samples_leaf=1, min_impurity_de
     )
     builder.build(np.arange(y.size), depth=0)
     return builder.arrays()
+
+
+@dataclass(frozen=True)
+class ActivationState:
+    values: dict[str, float]
+    step: int
+
+    def total(self):
+        return sum(self.values.values())
+
+
+def _advance(values, retention, index):
+    moving = index.degree > 0
+    outflow = np.divide(
+        (1.0 - retention) * values, index.degree, out=np.zeros_like(values), where=moving
+    )
+    return np.where(moving, retention * values + index.neighbour_sum(outflow), values)
+
+
+def init_activation(net, seed):
+    """All nodes at zero except the seed, which holds N = |nodes|."""
+    if seed not in net.nodes:
+        raise MissingSeedError(seed)
+    n = float(net.n_nodes)
+    return ActivationState(
+        values={node: (n if node == seed else 0.0) for node in net.nodes}, step=0
+    )
+
+
+def step(state, net, retention):
+    """One synchronous update of the whole activation vector."""
+    _check_retention(retention)
+    index = net.index
+    values = np.array([state.values[node] for node in index.nodes])
+    new = _advance(values, retention, index)
+    return ActivationState(values=dict(zip(index.nodes, new.tolist())), step=state.step + 1)
+
+
+def run_to_stationarity_reference(
+    net,
+    seed,
+    retention=DEFAULT_RETENTION,
+    tol=DEFAULT_TOLERANCE,
+    max_iter=DEFAULT_MAX_ITER,
+):
+    """One diffusion run on its own, iterated until the max change drops below `tol`."""
+    _check_retention(retention)
+    if seed not in net.nodes:
+        raise MissingSeedError(seed)
+    index = net.index
+    n = float(len(index.nodes))
+    values = np.zeros(len(index.nodes))
+    seed_idx = index.position[seed]
+    values[seed_idx] = n
+    series = [n]
+    drift = 0.0
+    converged = False
+    steps = 0
+    for steps in range(1, max_iter + 1):
+        new = _advance(values, retention, index)
+        delta = np.abs(new - values).max()
+        drift = max(drift, abs(new.sum() - n))
+        values = new
+        series.append(float(values[seed_idx]))
+        if delta < tol:
+            converged = True
+            break
+    return ActivationTrace(
+        seed=seed,
+        retention=retention,
+        seed_series=tuple(series),
+        stationary_alpha=float(values[seed_idx]),
+        converged=converged,
+        steps_taken=steps,
+        seed_in_network=True,
+        mass_drift=drift,
+    )
+
+
+def prompt_alphas_reference(story, nets, retention=DEFAULT_RETENTION):
+    """`activation.prompt_alphas` with one run per (network, seed)."""
+    out = {}
+    for tag, net in nets.items():
+        traces = []
+        for match in match_prompts(story):
+            seed = match.matched_node if match.matched else match.prompt_lemma
+            if seed in net.nodes:
+                trace = run_to_stationarity_reference(
+                    net, seed, retention=retention, max_iter=TRACE_EXPORT_STEPS
+                )
+                traces.append(
+                    replace(trace, stationary_alpha=stationary_oracle(net, seed), converged=True)
+                )
+            else:
+                traces.append(_isolated_seed_trace(seed, retention, net.n_nodes))
+        out[tag] = tuple(traces)
+    return out

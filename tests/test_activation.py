@@ -7,14 +7,22 @@ from storynets.activation import (
     TRACE_EXPORT_STEPS,
     ActivationTrace,
     MissingSeedError,
-    init_activation,
     prompt_alphas,
     run_to_stationarity,
     stationary_oracle,
-    step,
     trajectory_rows,
 )
 from storynets.netbuild import build_all_variants, make_network
+from storynets.textpipe import Story
+
+from conftest import make_sentence
+from oracles import (
+    ActivationState,
+    init_activation,
+    prompt_alphas_reference,
+    run_to_stationarity_reference,
+    step,
+)
 
 
 def path_graph(*labels):
@@ -73,8 +81,6 @@ class TestStep:
 
     def test_uniform_state_on_regular_graph_is_fixed(self):
         net = complete_graph("a", "b", "c")
-        from storynets.activation import ActivationState
-
         state = ActivationState({"a": 1.0, "b": 1.0, "c": 1.0}, 0)
         after = step(state, net, 0.5)
         assert after.values == pytest.approx({"a": 1.0, "b": 1.0, "c": 1.0})
@@ -182,6 +188,83 @@ class TestPromptAlphas:
         assert not trace.seed_in_network
         assert trace.stationary_alpha == pruned.n_nodes
         assert trace.converged
+
+
+def _batch_story():
+    # "betx" is one edit from "beta", so two prompts match the same node
+    return Story(
+        id="batch",
+        prompt_lemmas=("alpha", "beta", "betx"),
+        text="Alpha beta gamma.",
+        sentences=(make_sentence(["alpha", "beta", "gamma"]),),
+        ratings={"H": 3},
+    )
+
+
+def _batch_nets():
+    long_path = [f"p{i:02d}" for i in range(30)]
+    nets = {
+        # small dense graphs and stars stop early; long paths run all 100 steps
+        "complete": complete_graph("alpha", "beta", "c", "d"),
+        "star": make_network(
+            {"alpha", "beta", "c", "d", "e"}, [("alpha", x) for x in ("beta", "c", "d", "e")]
+        ),
+        "path": path_graph("alpha", *long_path, "beta"),
+        "absent": path_graph("beta", "x", "y", "z"),
+        "degree_zero": make_network({"alpha", "beta", "c", "d"}, [("beta", "c"), ("c", "d")]),
+        "outside_lcc": make_network(
+            {"alpha", "e", "beta", *long_path[:6]},
+            [("alpha", "e"), ("beta", "p00")] + list(zip(long_path[:5], long_path[1:6])),
+        ),
+    }
+    for i in range(4):
+        net = random_graph(14, 0.25, 40 + i)
+        labels = sorted(net.nodes)
+        rename = {labels[0]: "alpha", labels[1]: "beta"}
+        nets[f"random{i}"] = make_network(
+            [rename.get(n, n) for n in net.nodes],
+            [(rename.get(a, a), rename.get(b, b)) for a, b in net.edges],
+        )
+    return nets
+
+
+def _fields(trace):
+    return (trace.seed, trace.seed_series, trace.steps_taken, trace.stationary_alpha,
+            trace.converged, trace.seed_in_network)
+
+
+class TestBatchedDiffusion:
+    @pytest.mark.parametrize("retention", [0.2, 0.5, 0.8])
+    def test_prompt_alphas_match_per_run_reference(self, retention):
+        story, nets = _batch_story(), _batch_nets()
+        batched = prompt_alphas(story, nets, retention=retention)
+        reference = prompt_alphas_reference(story, nets, retention=retention)
+        assert list(batched) == list(reference)
+        for tag in nets:
+            assert [_fields(t) for t in batched[tag]] == [_fields(t) for t in reference[tag]]
+        traces = [t for triple in batched.values() for t in triple]
+        steps = {t.steps_taken for t in traces if t.seed_in_network}
+        assert min(steps) < TRACE_EXPORT_STEPS and max(steps) == TRACE_EXPORT_STEPS
+        assert [t.seed for t in batched["complete"]] == ["alpha", "beta", "beta"]
+        assert not batched["absent"][0].seed_in_network
+        assert batched["degree_zero"][0].stationary_alpha == 4.0
+        outside = nets["outside_lcc"].index
+        assert outside.component[outside.position["alpha"]] > 0
+
+    @pytest.mark.parametrize("seed_node", ["alpha", "beta"])
+    def test_single_run_matches_reference(self, seed_node):
+        for net in _batch_nets().values():
+            if seed_node not in net.nodes:
+                continue
+            got = run_to_stationarity(net, seed_node, retention=0.3)
+            want = run_to_stationarity_reference(net, seed_node, retention=0.3)
+            assert _fields(got) == _fields(want)
+            assert got.mass_drift == pytest.approx(want.mass_drift, abs=1e-12)
+
+    def test_all_seeds_absent_runs_nothing(self):
+        story = _batch_story()
+        traces = prompt_alphas(story, {"absent": path_graph("x", "y")})
+        assert [t.seed_in_network for t in traces["absent"]] == [False] * 3
 
 
 class TestExports:

@@ -268,6 +268,63 @@ class TestPipeline:
             main(["spread", "--config", str(config), "--out-dir", str(out)])
         assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
 
+    def test_rerun_with_fewer_builders_removes_stale_files(self, pipeline, tmp_path):
+        source, config = pipeline
+        out = tmp_path / "out"
+        shutil.copytree(source / "out", out)
+        argv = ["--config", str(config), "--out-dir", str(out), "--builders", "TFMN"]
+        assert main(["build", *argv]) == 0
+        assert main(["features", *argv]) == 0
+        edges = sorted(p.name for p in (out / "edges").iterdir())
+        assert len(edges) == 12 and all(name.endswith("__TFMN.csv") for name in edges)
+        manifest = json.loads((out / "manifest_build.json").read_text())
+        assert sorted(p.rsplit("/", 1)[-1] for p in manifest["outputs"]) == sorted(
+            edges + ["networks.jsonl"]
+        )
+        histograms = sorted(p.name for p in (out / "histograms").iterdir())
+        assert len(histograms) == 8 and all(name.endswith("__TFMN.csv") for name in histograms)
+
+    def test_failed_build_keeps_earlier_edge_files(self, pipeline, tmp_path, monkeypatch):
+        source, config = pipeline
+        out = tmp_path / "out"
+        shutil.copytree(source / "out", out)
+        before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+        real = cli.netbuild.build_all_variants
+        calls = []
+
+        def fail_on_second_story(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 2:
+                raise RuntimeError("build failed")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli.netbuild, "build_all_variants", fail_on_second_story)
+        with pytest.raises(RuntimeError, match="build failed"):
+            main(["build", "--config", str(config), "--out-dir", str(out), "--builders", "TFMN"])
+        assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
+
+    def test_report_states_retention_finding(self, pipeline, tmp_path):
+        source, config = pipeline
+        report = (source / "out" / "report.txt").read_text()
+        assert "stationary alphas across retention 0.2, 0.5, 0.8: identical\n" in report
+        out = tmp_path / "out"
+        shutil.copytree(source / "out", out)
+        lines = (out / "stationary_r0.8.csv").read_text(encoding="utf-8").splitlines()
+        cells = lines[5].split(",")
+        cells[3] = repr(float(cells[3]) + 0.25)
+        lines[5] = ",".join(cells)
+        (out / "stationary_r0.8.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert main(["report", "--config", str(config), "--out-dir", str(out)]) == 0
+        assert "0.2, 0.5, 0.8: largest absolute difference 0.25\n" in (
+            out / "report.txt"
+        ).read_text()
+        del lines[5]
+        (out / "stationary_r0.8.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert main(["report", "--config", str(config), "--out-dir", str(out)]) == 0
+        assert "0.2, 0.5, 0.8: the files cover different networks\n" in (
+            out / "report.txt"
+        ).read_text()
+
     def test_stages_are_idempotent(self, pipeline):
         tmp_path, config = pipeline
         before = {
