@@ -1,6 +1,23 @@
 """Nonparametric statistics: paired sign-flip permutation tests,
 Benjamini-Hochberg FDR, Wilcoxon signed-rank (exact for small n),
-rank correlations and MAE.
+rank correlations and MAE. The tests and `bh_fdr` refuse NaN and
+infinite input with ValueError.
+
+The sign-flip null is drawn in chunks of about SIGNFLIP_CHUNK elements,
+an even number of whole permutation rows each, so one test holds
+O(chunk) memory whatever `n_perm` is. Each sign is the top bit of one
+32-bit half of a raw PCG64 word (`bit_generator.random_raw`), low half
+first. That is exactly the value `default_rng(seed).integers(0, 2)`
+returns, in the same order: it takes one 32-bit draw per element (PCG64
+hands out the low half of each 64-bit output, then the high half), and
+Lemire's bounded method with range 2 keeps the draw's top bit and never
+rejects (its threshold is (2**32 - 2) % 2 = 0). An even row count keeps
+the halves aligned across chunks. Each row is filled with +-1.0,
+multiplied by the differences and averaged along the row, the same
+arithmetic as one (n_perm, n) matrix, so every p-value is bit-identical
+to the unchunked test (`tests/oracles.py::paired_signflip_test_reference`).
+`tests/test_stats.py::TestSignFlipStream` checks the raw-word signs
+against `integers(0, 2)`, so a change to numpy's stream fails there.
 """
 
 from __future__ import annotations
@@ -16,6 +33,9 @@ from .seeding import derive_seed
 ALTERNATIVES = ("two-sided", "less", "greater")
 
 EXACT_WILCOXON_LIMIT = 25
+
+# Signed differences the sign-flip null holds at once (whole rows, at least two).
+SIGNFLIP_CHUNK = 1 << 15
 
 
 class CorrelationUndefinedWarning(RuntimeWarning):
@@ -40,38 +60,70 @@ def _check_alternative(alternative):
         raise ValueError(f"alternative must be one of {ALTERNATIVES}, got {alternative!r}")
 
 
-def paired_signflip_test(x, y, n_perm=10_000, rng_seed=0, alternative="two-sided"):
-    """Mean paired difference against a random sign-flip null.
-
-    p uses the add-one correction (1 + hits) / (1 + n_perm), so it can
-    never reach exactly zero.
-    """
-    _check_alternative(alternative)
+def _differences(x, y):
+    """x - y for paired 1-d samples; NaN or infinite differences are refused."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape or x.ndim != 1:
         raise ValueError("paired samples must be 1-d and of equal length")
-    if x.size < 2:
-        raise ValueError("need at least 2 pairs")
     d = x - y
-    observed = float(d.mean())
-    rng = np.random.default_rng(rng_seed)
-    signs = rng.integers(0, 2, size=(n_perm, d.size)) * 2 - 1
-    null = (signs * d).mean(axis=1)
+    if not np.isfinite(d).all():
+        raise ValueError("paired differences must be finite")
+    return d
+
+
+def _count_hits(null, observed, alternative):
     if alternative == "two-sided":
-        hits = int(np.sum(np.abs(null) >= abs(observed)))
-    elif alternative == "greater":
-        hits = int(np.sum(null >= observed))
-    else:
-        hits = int(np.sum(null <= observed))
+        return int(np.count_nonzero(np.abs(null) >= abs(observed)))
+    if alternative == "greater":
+        return int(np.count_nonzero(null >= observed))
+    return int(np.count_nonzero(null <= observed))
+
+
+def _sign_bits(bit_generator, count):
+    """The next `count` values of `integers(0, 2)` on a PCG64 stream that
+    holds no buffered 32-bit half, as uint32 0/1: the top bit of each
+    32-bit half of the raw words, low half first (little-endian views give
+    that order on any platform)."""
+    words = bit_generator.random_raw((count + 1) // 2).astype("<u8", copy=False)
+    halves = words.view("<u4")[:count]
+    return np.right_shift(halves, 31, out=halves)
+
+
+def paired_signflip_test(x, y, n_perm=10_000, rng_seed=0, alternative="two-sided"):
+    """Mean paired difference against a random sign-flip null.
+
+    p uses the add-one correction (1 + hits) / (1 + n_perm), so it can
+    never reach exactly zero. The null is drawn about SIGNFLIP_CHUNK
+    elements at a time (see the module docstring).
+    """
+    _check_alternative(alternative)
+    d = _differences(x, y)
+    n = d.size
+    if n < 2:
+        raise ValueError("need at least 2 pairs")
+    if n_perm < 1:
+        raise ValueError(f"n_perm must be >= 1, got {n_perm}")
+    observed = float(d.mean())
+    bit_generator = np.random.default_rng(rng_seed).bit_generator
+    rows = max(2, SIGNFLIP_CHUNK // n // 2 * 2)
+    signed = np.empty((rows, n))
+    hits = 0
+    for start in range(0, n_perm, rows):
+        k = min(rows, n_perm - start)
+        chunk = signed[:k]
+        np.multiply(_sign_bits(bit_generator, k * n).reshape(k, n), 2.0, out=chunk)
+        chunk -= 1.0
+        chunk *= d
+        hits += _count_hits(chunk.mean(axis=1), observed, alternative)
     p = (1 + hits) / (1 + n_perm)
-    return TestResult(observed, p, int(d.size), "paired-sign-flip", alternative)
+    return TestResult(observed, p, n, "paired-sign-flip", alternative)
 
 
 def bh_fdr(p_values):
     """Benjamini-Hochberg step-up adjustment, input order preserved."""
     p = np.asarray(list(p_values), dtype=float)
-    if p.size and (p.min() < 0 or p.max() > 1):
+    if not ((p >= 0) & (p <= 1)).all():
         raise ValueError("p-values must lie in [0, 1]")
     n = p.size
     if n == 0:
@@ -133,11 +185,7 @@ def wilcoxon_signed_rank(x, y, alternative="two-sided"):
     normal approximation with continuity correction above.
     """
     _check_alternative(alternative)
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != y.shape or x.ndim != 1:
-        raise ValueError("paired samples must be 1-d and of equal length")
-    d = x - y
+    d = _differences(x, y)
     d = d[d != 0]
     n = int(d.size)
     if n == 0:

@@ -8,7 +8,10 @@ per-node, per-feature CART split search that `trees.fit_tree` must match
 bit for bit; `run_to_stationarity_reference` and `prompt_alphas_reference`
 run one diffusion at a time, the loop that the batched
 `activation.prompt_alphas` must match bit for bit, and `init_activation` /
-`step` are the dict-based single-step API over the same arithmetic.
+`step` are the dict-based single-step API over the same arithmetic;
+`paired_signflip_test_reference` builds the whole (n_perm, n) sign matrix
+from `integers(0, 2)`, the null that the chunked
+`stats.paired_signflip_test` must match bit for bit.
 """
 
 import hashlib
@@ -32,7 +35,7 @@ from storynets.activation import (
 )
 from storynets.mlharness.trees import TreeArrays
 from storynets.netbuild import LexicalNetwork, make_network
-from storynets.stats import TestResult, _average_ranks
+from storynets.stats import TestResult, _average_ranks, _check_alternative
 from storynets.textpipe import match_prompts
 
 
@@ -322,3 +325,31 @@ def prompt_alphas_reference(story, nets, retention=DEFAULT_RETENTION):
                 traces.append(_isolated_seed_trace(seed, retention, net.n_nodes))
         out[tag] = tuple(traces)
     return out
+
+
+def paired_signflip_test_reference(x, y, n_perm=10_000, rng_seed=0, alternative="two-sided"):
+    """Mean paired difference against a random sign-flip null.
+
+    p uses the add-one correction (1 + hits) / (1 + n_perm), so it can
+    never reach exactly zero.
+    """
+    _check_alternative(alternative)
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if x.shape != y.shape or x.ndim != 1:
+        raise ValueError("paired samples must be 1-d and of equal length")
+    if x.size < 2:
+        raise ValueError("need at least 2 pairs")
+    d = x - y
+    observed = float(d.mean())
+    rng = np.random.default_rng(rng_seed)
+    signs = rng.integers(0, 2, size=(n_perm, d.size)) * 2 - 1
+    null = (signs * d).mean(axis=1)
+    if alternative == "two-sided":
+        hits = int(np.sum(np.abs(null) >= abs(observed)))
+    elif alternative == "greater":
+        hits = int(np.sum(null >= observed))
+    else:
+        hits = int(np.sum(null <= observed))
+    p = (1 + hits) / (1 + n_perm)
+    return TestResult(observed, p, int(d.size), "paired-sign-flip", alternative)

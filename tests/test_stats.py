@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from storynets.stats import (
+    ALTERNATIVES,
     CorrelationUndefinedWarning,
+    _sign_bits,
     bh_fdr,
     builder_comparison_rows,
     mae,
@@ -16,7 +19,7 @@ from storynets.stats import (
     wilcoxon_signed_rank,
 )
 
-from oracles import wilcoxon_exact_enumeration
+from oracles import paired_signflip_test_reference, wilcoxon_exact_enumeration
 
 
 class TestSignFlip:
@@ -72,6 +75,86 @@ class TestSignFlip:
             rejections += result.p_value <= 0.05
         low, high = binom.interval(0.95, runs, 0.05)
         assert low <= rejections <= high
+
+
+def _paired_samples(n, kind):
+    """x, y whose differences hold zeros, -0.0 and ties ("integers") or are
+    all distinct ("normal")."""
+    rng = np.random.default_rng(n)
+    if kind == "normal":
+        return rng.normal(size=n), rng.normal(size=n)
+    x = rng.integers(-3, 4, size=n).astype(float)
+    x[::4] = -0.0
+    return x, np.zeros(n)
+
+
+class TestChunkedSignFlip:
+    # The reference holds three (n_perm, n) temporaries, so pairs above 1e7
+    # elements are left out of the grid.
+    GRID = [
+        (n, n_perm)
+        for n in (2, 3, 21, 991, 1637, 32769)
+        for n_perm in (1, 7, 997, 10_000)
+        if n * n_perm <= 10_000_000
+    ]
+
+    @pytest.mark.parametrize("kind", ["integers", "normal"])
+    @pytest.mark.parametrize(("n", "n_perm"), GRID)
+    def test_matches_unchunked_reference(self, n, n_perm, kind):
+        x, y = _paired_samples(n, kind)
+        for alternative in ALTERNATIVES:
+            for seed in (0, 17):
+                mine = paired_signflip_test(x, y, n_perm, seed, alternative)
+                ref = paired_signflip_test_reference(x, y, n_perm, seed, alternative)
+                assert mine == ref, (n, n_perm, kind, alternative, seed)
+
+    def test_paper_size_memory_is_bounded(self):
+        x, y = _paired_samples(991, "normal")
+        tracemalloc.start()
+        try:
+            paired_signflip_test(x, y, n_perm=10_000, rng_seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4_000_000
+
+
+class TestSignFlipStream:
+    """The raw-word signs are the draws of `integers(0, 2)`; a numpy change to
+    either stream fails here before it changes a p-value."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 12345, 2**40 + 7])
+    @pytest.mark.parametrize(("k", "n"), [(1, 1), (1, 3), (7, 5), (33, 991), (3, 32769)])
+    def test_one_draw_matches_integers(self, seed, k, n):
+        bits = _sign_bits(np.random.default_rng(seed).bit_generator, k * n)
+        expected = np.random.default_rng(seed).integers(0, 2, size=(k, n))
+        np.testing.assert_array_equal(bits.reshape(k, n), expected)
+
+    @pytest.mark.parametrize("seed", [0, 5, 99])
+    def test_even_chunks_stay_aligned(self, seed):
+        gen = np.random.default_rng(seed).bit_generator
+        drawn = np.concatenate([_sign_bits(gen, m) for m in (2, 64, 1000, 2, 31)])
+        expected = np.random.default_rng(seed).integers(0, 2, size=drawn.size)
+        np.testing.assert_array_equal(drawn, expected)
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_signflip_rejects_non_finite_difference(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            paired_signflip_test([bad, 1.0, 2.0], [0.0, 0.0, 0.0])
+
+    def test_signflip_rejects_no_permutations(self):
+        with pytest.raises(ValueError, match="n_perm"):
+            paired_signflip_test([1.0, 2.0, 3.0], [0.0, 0.0, 0.0], n_perm=0)
+
+    def test_bh_rejects_nan(self):
+        with pytest.raises(ValueError):
+            bh_fdr([0.01, math.nan])
+
+    def test_wilcoxon_rejects_nan_difference(self):
+        with pytest.raises(ValueError, match="finite"):
+            wilcoxon_signed_rank([math.nan, 1.0, 2.0], [0.0, 0.0, 0.0])
 
 
 class TestBH:
