@@ -42,7 +42,7 @@ VALENCE_LABELS = ("positive", "negative")
 
 SIGNIFICANCE_Z = 1.96
 
-DEFAULT_NEGATION_CUES = frozenset({"not", "never", "no", "n't", "nor", "neither"})
+NEGATION_CUES = frozenset({"not", "never", "no", "n't", "nor", "neither"})
 
 
 @dataclass(frozen=True)
@@ -116,7 +116,7 @@ def load_lexicon_file(path):
         return load_lexicon(fh.read())
 
 
-def detect_negations(sentence, cues=DEFAULT_NEGATION_CUES):
+def detect_negations(sentence):
     """Indices of tokens whose emotion labels must flip.
 
     With dependency labels present, a token is negated when a cue is its
@@ -128,7 +128,7 @@ def detect_negations(sentence, cues=DEFAULT_NEGATION_CUES):
     cue_positions = [
         t.token_index
         for t in sentence
-        if t.lemma in cues or t.surface.lower() in cues
+        if t.lemma in NEGATION_CUES or t.surface.lower() in NEGATION_CUES
     ]
     if not cue_positions:
         return set()
@@ -160,11 +160,11 @@ def detect_negations(sentence, cues=DEFAULT_NEGATION_CUES):
     return negated
 
 
-def negation_marked_lemmas(sentences, cues=DEFAULT_NEGATION_CUES):
+def negation_marked_lemmas(sentences):
     """(lemma, negated) stream over all alphabetic tokens of a story."""
     marked = []
     for sent in sentences:
-        negated = detect_negations(sent, cues)
+        negated = detect_negations(sent)
         for tok in sent:
             if tok.lemma.isalpha():
                 marked.append((tok.lemma, tok.token_index in negated))
@@ -230,8 +230,8 @@ def emotion_zscores(counts, m, lexicon):
     return EmotionProfile(z=z, counts=dict(counts), m=m)
 
 
-def profile_story(sentences, lexicon, cues=DEFAULT_NEGATION_CUES):
-    marked = negation_marked_lemmas(sentences, cues)
+def profile_story(sentences, lexicon):
+    marked = negation_marked_lemmas(sentences)
     counts, m = emotion_counts(marked, lexicon)
     return emotion_zscores(counts, m, lexicon)
 

@@ -1,6 +1,6 @@
 """Pipeline command-line interface.
 
-Subcommands: preprocess, build, features, spread, emotions, evaluate,
+Stages: preprocess, build, features, spread, emotions, evaluate,
 compare-builders, report.  An INI config file can supply every option;
 flags override file values.  All artifacts are deterministic for a fixed
 config, and every stage writes a manifest with the config hash and input
@@ -68,7 +68,6 @@ class RunConfig:
     relations: str | None = None
     out_dir: str = "out"
     builders: tuple[str, ...] = BUILDER_TAGS
-    window_sizes: tuple[int, ...] = (2, 3, 4)
     radius: int = 3
     retention: tuple[float, ...] = (0.5,)
     feature_configs: tuple[str, ...] = FEATURE_CONFIGS
@@ -78,7 +77,6 @@ class RunConfig:
     n_perm: int = 10_000
     rng_seed: int = 7
     pagerank_damping: float = 0.85
-    enrich_tfmn: bool = False
     with_baseline: bool = True
     shap_samples: int = 2000
     shap_max_rows: int = 100
@@ -86,13 +84,9 @@ class RunConfig:
     export_conllu: bool = False
 
     def validate(self):
-        if self.enrich_tfmn and not self.relations:
-            raise InputFormatError("enrich_tfmn requires a relations file")
         unknown = set(self.builders) - set(BUILDER_TAGS)
         if unknown:
             raise InputFormatError(f"unknown builder tags: {sorted(unknown)}")
-        if not set(self.window_sizes) <= {2, 3, 4}:
-            raise InputFormatError("window_sizes must be a subset of {2, 3, 4}")
         if self.folds < 2:
             raise InputFormatError("folds must be >= 2")
         if self.radius < 1:
@@ -114,26 +108,13 @@ class RunConfig:
             raise InputFormatError(f"shap_samples must be >= {MIN_SAMPLES}")
         if self.shap_max_rows < 0:
             raise InputFormatError("shap_max_rows must be >= 0")
-        for name in ("models", "feature_configs", "retention", "targets"):
+        for name in ("builders", "models", "feature_configs", "retention", "targets"):
             if not getattr(self, name):
                 raise InputFormatError(f"{name} must not be empty")
-        if not self.active_builders():
-            raise InputFormatError("no builder left once window_sizes is applied")
         for f in fields(self):
             value = getattr(self, f.name)
             if f.default is None and value is not None and not Path(value).exists():
                 raise InputFormatError(f"{f.name} path does not exist: {value}")
-
-    def active_builders(self):
-        """Configured builders restricted to the configured window sizes."""
-        keep = []
-        for tag in self.builders:
-            if tag.startswith("coocc"):
-                if int(tag.rsplit("WS", 1)[1]) in self.window_sizes:
-                    keep.append(tag)
-            else:
-                keep.append(tag)
-        return tuple(keep)
 
 
 _FIELDS = {f.name: f for f in fields(RunConfig)}
@@ -180,21 +161,20 @@ def _coerce(field, text):
 
 
 def build_arg_parser():
+    """The stage name and every option; options may come before or after it."""
     parser = argparse.ArgumentParser(
         prog="storynets",
         description="Semantic-network pipeline for short narratives",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for stage in STAGES:
-        p = sub.add_parser(stage, help=f"run the {stage} stage")
-        p.add_argument("--config", help="INI config file with a [storynets] section")
-        for f in fields(RunConfig):
-            flag = _NEGATED_FLAGS.get(f.name, "--" + f.name.replace("_", "-"))
-            if isinstance(f.default, bool):
-                p.add_argument(flag, dest=f.name, action="store_const", const=not f.default)
-            else:
-                help_text = "comma-separated" if isinstance(f.default, tuple) else None
-                p.add_argument(flag, dest=f.name, help=help_text)
+    parser.add_argument("command", choices=STAGES, metavar="stage", help=", ".join(STAGES))
+    parser.add_argument("--config", help="INI config file with a [storynets] section")
+    for f in fields(RunConfig):
+        flag = _NEGATED_FLAGS.get(f.name, "--" + f.name.replace("_", "-"))
+        if isinstance(f.default, bool):
+            parser.add_argument(flag, dest=f.name, action="store_const", const=not f.default)
+        else:
+            help_text = "comma-separated" if isinstance(f.default, tuple) else None
+            parser.add_argument(flag, dest=f.name, help=help_text)
     return parser
 
 
@@ -203,7 +183,7 @@ def resolve_config(args):
     typed by `_coerce`, values that are already typed pass unchanged."""
     values = load_config_file(args.config) if args.config else {}
     for name in _FIELDS:
-        if getattr(args, name, None) is not None:
+        if getattr(args, name) is not None:
             values[name] = getattr(args, name)
     config = RunConfig(**{
         name: _coerce(_FIELDS[name], v) if isinstance(v, str) else v
@@ -276,7 +256,7 @@ def _write_manifest(config, stage, inputs, outputs):
         "stage": stage,
         "config_hash": config_hash(config),
         "rng_seed": config.rng_seed,
-        "inputs": {str(p): _file_digest(p) for p in inputs if Path(p).exists()},
+        "inputs": {str(p): _file_digest(p) for p in inputs if p and Path(p).exists()},
         "outputs": [str(p) for p in outputs],
     }
     text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
@@ -313,11 +293,22 @@ def _load_wordlists(config):
     return stoplist, pronouns, lemma_table
 
 
+def _read_jsonl(path, parse):
+    """`parse(line)` for each non-blank line of an upstream JSON-lines file; a
+    line that does not parse is bad input."""
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if line.strip():
+                try:
+                    yield parse(line)
+                except (AttributeError, KeyError, TypeError, ValueError) as exc:
+                    raise InputFormatError(f"{path}, line {lineno}: {exc!r}") from None
+
+
 def _read_corpus(config):
     path = _paths(config)["corpus"]
     _require(path, "preprocess")
-    with open(path, encoding="utf-8") as fh:
-        return [textpipe.story_from_json(line) for line in fh if line.strip()]
+    return list(_read_jsonl(path, textpipe.story_from_json))
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +349,8 @@ def cmd_preprocess(config):
     if config.export_conllu:
         conllu = textpipe.write_conllu({s.id: s.sentences for s in kept})
         outputs.append(_write(out / "corpus.conllu", lambda fh: fh.write(conllu)))
-    inputs = [p for p in (config.stories_csv, config.conllu) if p]
+    inputs = [config.stories_csv, config.conllu, config.lemma_table, config.stoplist,
+              config.pronouns]
     _write_manifest(config, "preprocess", inputs, outputs)
     log.info("retained %d stories, excluded %d", len(kept), len(excluded))
     return 0
@@ -369,8 +361,7 @@ def cmd_build(config):
     stories = _read_corpus(config)
     relations = netbuild.load_relations(config.relations) if config.relations else None
     lexicon = affect.load_lexicon_file(config.lexicon) if config.lexicon else None
-    builders = config.active_builders()
-    if "TFMN" in builders:
+    if "TFMN" in config.builders:
         for story in stories:
             if not any(t.head_index is not None for t in story.all_tokens()) and any(
                 len(s) > 1 for s in story.sentences
@@ -387,10 +378,9 @@ def cmd_build(config):
     def write_networks(fh):
         for story in stories:
             nets = netbuild.build_all_variants(
-                story, radius=config.radius, relations=relations, lexicon=lexicon,
-                enrich_tfmn=config.enrich_tfmn,
+                story, radius=config.radius, relations=relations, lexicon=lexicon
             )
-            for tag in builders:
+            for tag in config.builders:
                 net = nets[tag]
                 record = {
                     "story_id": story.id,
@@ -414,23 +404,25 @@ def cmd_build(config):
     _prune(paths["edges_dir"], edge_files)
     _prune(paths["graphml_dir"], graphml_files)
     _write_manifest(
-        config, "build", [paths["corpus"]], [paths["networks"]] + edge_files
+        config, "build", [paths["corpus"], config.lexicon, config.relations],
+        [paths["networks"]] + edge_files,
     )
     log.info("built %d networks for %d stories", len(edge_files), len(stories))
     return 0
 
 
+def _network_from_json(line):
+    r = json.loads(line)
+    net = netbuild.make_network(
+        r["nodes"], [tuple(e) for e in r["edges"]], r["builder"], r.get("valence", {})
+    )
+    return (r["story_id"], r["builder"]), net
+
+
 def _read_networks(config):
-    paths = _paths(config)
-    _require(paths["networks"], "build")
-    with open(paths["networks"], encoding="utf-8") as fh:
-        records = (json.loads(line) for line in fh if line.strip())
-        return {
-            (r["story_id"], r["builder"]): netbuild.make_network(
-                r["nodes"], [tuple(e) for e in r["edges"]], r["builder"], r.get("valence", {})
-            )
-            for r in records
-        }
+    path = _paths(config)["networks"]
+    _require(path, "build")
+    return dict(_read_jsonl(path, _network_from_json))
 
 
 def cmd_features(config):
@@ -535,13 +527,6 @@ def _collect_targets(stories, wanted):
     return targets
 
 
-def _model_specs(config):
-    return {
-        kind: ModelSpec(kind=kind, rng_seed=derive_seed(config.rng_seed, "model", kind))
-        for kind in config.models
-    }
-
-
 def cmd_evaluate(config):
     paths = _paths(config)
     stationary = _stationary_path(config, config.retention[0])
@@ -558,7 +543,7 @@ def cmd_evaluate(config):
         emotions=_read_csv(paths["emotions"], EMOTION_FEATURE_NAMES, ("story_id",)),
         targets=_collect_targets(stories, config.targets),
     )
-    builders = [b for b in config.active_builders() if b in features.structural]
+    builders = [b for b in config.builders if b in features.structural]
     # a table's stories do not depend on its feature config
     first_config = config.feature_configs[0]
     smallest = min(
@@ -574,7 +559,7 @@ def cmd_evaluate(config):
         config.targets,
         builders,
         config.feature_configs,
-        _model_specs(config),
+        {kind: ModelSpec(kind) for kind in config.models},
         k=config.folds,
         rng_seed=config.rng_seed,
         with_baseline=config.with_baseline,
@@ -604,7 +589,7 @@ def _write_attributions(config, features, results, target):
     """
     best = select_best(results, target)
     table = features.rows(best.builder_tag, best.config, target)
-    spec = replace(_model_specs(config)[best.model_kind], rng_seed=best.rng_seed)
+    spec = ModelSpec(best.model_kind, rng_seed=best.rng_seed)
     explained_ids = []
     blocks = []
     remaining = config.shap_max_rows
@@ -672,7 +657,10 @@ def cmd_report(config):
     stationary = (
         [_stationary_path(config, r) for r in config.retention] if len(config.retention) > 1 else []
     )
-    payload = json.loads(paths["results"].read_text(encoding="utf-8"))
+    try:
+        payload = json.loads(paths["results"].read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise InputFormatError(f"{paths['results']}: {exc}") from None
     lines = ["storynets evaluation report", "=" * 60]
     results = payload["results"]
     real = [r for r in results if not r["permuted"]]

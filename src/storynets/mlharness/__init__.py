@@ -25,7 +25,6 @@ from .models import (
     predict_matrix,
 )
 from .shapley import ShapleyResult, attribution_rows, shapley_attribution
-from .synthetic import planted_feature_rows, planted_linear_data
 
 __all__ = [
     "ALPHA_FEATURE_NAMES",
@@ -47,8 +46,6 @@ __all__ = [
     "make_folds",
     "permutation_baseline",
     "permute_columns",
-    "planted_feature_rows",
-    "planted_linear_data",
     "predict_matrix",
     "run_matrix",
     "select_best",

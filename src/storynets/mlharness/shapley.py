@@ -29,12 +29,12 @@ class ShapleyResult:
     additivity_se: np.ndarray  # (n_rows,) Monte-Carlo s.e. of sum(values)+base
 
 
-def shapley_attribution(model, rows, n_samples=2000, rng_seed=0, background=None):
+def shapley_attribution(model, rows, n_samples=2000, rng_seed=0):
     """Per-row, per-feature attribution matrix for a trained model.
 
     `rows` is a FeatureTable with the model's feature names or a raw
     (n_rows, n_features) array in the model's feature order.  The
-    background defaults to the model's training design.
+    background is the model's training design.
     """
     if n_samples < MIN_SAMPLES:
         raise ValueError(f"n_samples must be >= {MIN_SAMPLES} for a usable estimate")
@@ -43,9 +43,9 @@ def shapley_attribution(model, rows, n_samples=2000, rng_seed=0, background=None
             raise ValueError("feature table columns differ from the model's features")
         rows = rows.X
     X = np.asarray(rows, dtype=float)
-    bg = model.background if background is None else np.asarray(background, dtype=float)
-    if bg.ndim != 2 or bg.shape[1] != X.shape[1]:
-        raise ValueError("background must be a matrix with the model's feature count")
+    bg = model.background
+    if X.ndim != 2 or X.shape[1] != bg.shape[1]:
+        raise ValueError("rows must be a matrix with the model's feature count")
     n_rows, n_features = X.shape
     rng = np.random.default_rng(rng_seed)
     base_value = float(predict_matrix(model, bg).mean())

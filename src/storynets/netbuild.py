@@ -361,12 +361,11 @@ def add_semantic_edges(net, relations):
     return LexicalNetwork(net.nodes, frozenset(edges), net.builder_tag, dict(net.valence))
 
 
-def build_all_variants(story, radius=3, relations=None, lexicon=None, enrich_tfmn=False,
-                       negated_occurrences=None):
+def build_all_variants(story, radius=3, relations=None, lexicon=None):
     """The six co-occurrence variants plus the TFMN for one story.
 
-    Valence is annotated on the TFMN when a lexicon is supplied; relation
-    enrichment is off unless requested.  Returns {builder_tag: network}.
+    The TFMN gains the relation-file edges when `relations` is given and
+    valence labels when `lexicon` is.  Returns {builder_tag: network}.
     """
     nets = {}
     for window in (2, 3, 4):
@@ -374,14 +373,12 @@ def build_all_variants(story, radius=3, relations=None, lexicon=None, enrich_tfm
             tag = f"coocc{'_p' if keep else ''}_WS{window}"
             nets[tag] = build_cooccurrence(story.sentences, window, keep, tag)
     tfmn = build_dependency_network(story.sentences, radius=radius)
-    if relations is not None and enrich_tfmn:
+    if relations is not None:
         tfmn = add_semantic_edges(tfmn, relations)
     if lexicon is not None:
-        if negated_occurrences is None:
-            from .affect import negation_marked_lemmas
+        from .affect import negation_marked_lemmas
 
-            negated_occurrences = negation_marked_lemmas(story.sentences)
-        tfmn = annotate_valence(tfmn, lexicon, negated_occurrences)
+        tfmn = annotate_valence(tfmn, lexicon, negation_marked_lemmas(story.sentences))
     nets["TFMN"] = tfmn
     return nets
 

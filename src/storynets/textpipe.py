@@ -18,7 +18,7 @@ from importlib import resources
 
 from .errors import InputFormatError
 
-DEFAULT_ABBREVIATIONS = frozenset(
+ABBREVIATIONS = frozenset(
     {
         "mr.", "mrs.", "ms.", "dr.", "prof.", "sr.", "jr.", "st.",
         "vs.", "etc.", "e.g.", "i.e.", "cf.", "al.",
@@ -127,7 +127,7 @@ class Story:
             yield from sent
 
 
-def segment_sentences(text, abbreviations=DEFAULT_ABBREVIATIONS):
+def segment_sentences(text):
     """Split text on `.`, `!`, `?` terminators.
 
     A run of terminators (plus trailing quotes/brackets) ends a sentence
@@ -165,7 +165,7 @@ def segment_sentences(text, abbreviations=DEFAULT_ABBREVIATIONS):
                 while word_start > 0 and text[word_start - 1].isalpha():
                     word_start -= 1
                 preceding = (text[word_start:word_end] + ".").lower()
-                boundary = next_upper and preceding not in abbreviations
+                boundary = next_upper and preceding not in ABBREVIATIONS
         if boundary:
             piece = text[start : j + 1].strip()
             if piece:
@@ -228,14 +228,14 @@ def filter_content(sentence, keep_pronouns):
     return [t for t in sentence if _is_content(t.lemma, t.is_stop, t.is_pronoun, keep_pronouns)]
 
 
-def tokenize_text(text, lemma_table, stoplist, pronouns, abbreviations=DEFAULT_ABBREVIATIONS):
+def tokenize_text(text, lemma_table, stoplist, pronouns):
     """Segment and tokenise a raw story, dropping sentences that end up empty.
 
     Pronouns are retained here; pronoun-free variants are derived later by
     re-filtering, which keeps a single stored token stream per story.
     """
     sentences = []
-    for raw in segment_sentences(text, abbreviations):
+    for raw in segment_sentences(text):
         toks = tokenize_and_lemmatize(
             raw, lemma_table, stoplist, pronouns, keep_pronouns=True,
             sentence_index=len(sentences),

@@ -1,6 +1,6 @@
 """Synthetic regression data with a planted linear signal.
 
-The committed reference generator behind the pipeline sanity checks: a
+The reference generator behind the model and CV sanity checks: a
 standard-normal design, a fixed unit-norm coefficient vector, and
 additive Gaussian noise of known scale.
 """
@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .features import FeatureTable
+from storynets.mlharness.features import FeatureTable
 
 
 def planted_linear_data(n_rows=400, n_features=18, noise=0.1, rng_seed=0):

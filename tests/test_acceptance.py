@@ -18,12 +18,12 @@ from storynets.mlharness import (
     fit,
     kfold_cv,
     permutation_baseline,
-    planted_feature_rows,
     shapley_attribution,
 )
 
 from conftest import make_sentence
 from oracles import induced_subgraph, wilcoxon_exact_enumeration
+from synthetic import planted_feature_rows
 
 
 def _report(num, label):

@@ -243,6 +243,75 @@ class TestPipeline:
         assert "folds=13 exceeds the 12 rows" in capsys.readouterr().err
         assert {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()} == before
 
+    @pytest.mark.parametrize(
+        "stage, name, damage",
+        [
+            ("features", "networks.jsonl", lambda lines: lines[2][:40]),
+            ("build", "corpus.jsonl", lambda lines: json.dumps(
+                {k: v for k, v in json.loads(lines[2]).items() if k != "sentences"})),
+            ("spread", "networks.jsonl", lambda lines: json.dumps(
+                {**json.loads(lines[2]), "edges": [["aaa", "zzz"]]})),
+            ("evaluate", "corpus.jsonl", lambda lines: json.dumps(
+                {**json.loads(lines[2]), "ratings": []})),
+        ],
+        ids=["truncated-line", "no-sentences", "edge-outside-nodes", "ratings-not-a-mapping"],
+    )
+    def test_malformed_upstream_json_is_bad_input(
+        self, pipeline, tmp_path, capsys, stage, name, damage
+    ):
+        source, config = pipeline
+        out = tmp_path / "out"
+        shutil.copytree(source / "out", out)
+        lines = (out / name).read_text(encoding="utf-8").splitlines()
+        lines[2] = damage(lines)
+        (out / name).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert main([stage, "--config", str(config), "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {out / name}, line 3:" in err
+        assert "Traceback" not in err
+
+    def test_malformed_results_json_is_bad_input(self, pipeline, tmp_path, capsys):
+        source, config = pipeline
+        out = tmp_path / "out"
+        shutil.copytree(source / "out", out)
+        results = out / "results.json"
+        results.write_text(results.read_text(encoding="utf-8")[:200], encoding="utf-8")
+        assert main(["report", "--config", str(config), "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {results}: " in err and "line" in err
+        assert "Traceback" not in err
+
+    def test_manifests_digest_every_file_read(self, pipeline, tmp_path):
+        source, config = pipeline
+        out = tmp_path / "out"
+        shutil.copytree(source / "out", out)
+        lexicon = tmp_path / "lexicon.tsv"
+        shutil.copy(source / "lexicon.tsv", lexicon)
+        relations = tmp_path / "relations.tsv"
+        relations.write_text("gloom\tbookie\tsynonym\n", encoding="utf-8")
+        argv = ["--config", str(config), "--out-dir", str(out), "--lexicon", str(lexicon)]
+
+        def build_inputs():
+            assert main(["build", *argv, "--relations", str(relations)]) == 0
+            return json.loads((out / "manifest_build.json").read_text())["inputs"]
+
+        before = build_inputs()
+        assert {str(lexicon), str(relations)} <= set(before)
+        lexicon.write_text(lexicon.read_text() + "zebra\tjoy\t1\n", encoding="utf-8")
+        after = build_inputs()
+        assert after[str(lexicon)] != before[str(lexicon)]
+        assert after[str(relations)] == before[str(relations)]
+
+        wordlists = {}
+        for name in ("lemma_table", "stoplist", "pronouns"):
+            wordlists[name] = tmp_path / f"{name}.txt"
+            wordlists[name].write_text("zebra\n" if name != "lemma_table" else "", encoding="utf-8")
+        flags = [x for name, path in wordlists.items()
+                 for x in ("--" + name.replace("_", "-"), str(path))]
+        assert main(["preprocess", *argv, *flags]) == 0
+        inputs = json.loads((out / "manifest_preprocess.json").read_text())["inputs"]
+        assert {str(p) for p in wordlists.values()} <= set(inputs)
+
     def test_stationary_table_has_one_row_per_network(self, pipeline):
         tmp_path, _ = pipeline
         lines = (tmp_path / "out" / "stationary_r0.5.csv").read_text().splitlines()
@@ -354,6 +423,16 @@ class TestExitCodes:
         assert main(["features", "--out-dir", str(tmp_path / "fresh")]) == 3
         assert main(["report", "--out-dir", str(tmp_path / "fresh")]) == 3
 
+    def test_options_may_precede_the_stage(self, tmp_path):
+        assert main(["--out-dir", str(tmp_path / "fresh"), "features"]) == 3
+
+    @pytest.mark.parametrize("argv", [("--window-sizes", "2"), ("--enrich-tfmn",)], ids="-".join)
+    def test_unknown_flag_exits_2(self, tmp_path, capsys, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["report", "--out-dir", str(tmp_path / "out"), *argv])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_emotions_without_lexicon_is_exit_2(self, tmp_path):
         stories_csv, conllu, lexicon = write_corpus(tmp_path, n_stories=3)
         out = tmp_path / "out"
@@ -414,7 +493,6 @@ class TestExitCodes:
             ("--feature-configs=",),
             ("--retention=",),
             ("--targets=",),
-            ("--builders=coocc_WS2", "--window-sizes=3"),
         ],
         ids="-".join,
     )
@@ -423,18 +501,6 @@ class TestExitCodes:
         assert main(["evaluate", "--out-dir", str(out), *argv]) == 2
         assert "error:" in capsys.readouterr().err
         assert not out.exists()
-
-    def test_empty_window_sizes_leaving_tfmn_is_legal(self):
-        config = _resolve(["evaluate", "--window-sizes="])
-        assert config.window_sizes == ()
-        assert config.active_builders() == ("TFMN",)
-
-    def test_enrich_without_relations_rejected(self, tmp_path):
-        stories_csv, conllu, lexicon = write_corpus(tmp_path, n_stories=3)
-        assert main([
-            "preprocess", "--stories-csv", str(stories_csv),
-            "--out-dir", str(tmp_path / "o2"), "--enrich-tfmn",
-        ]) == 2
 
     def test_relations_enrich_adds_tfmn_edges(self, tmp_path):
         stories_csv, conllu, lexicon = write_corpus(tmp_path, n_stories=3)
@@ -447,7 +513,7 @@ class TestExitCodes:
         assert main(["preprocess", *base]) == 0
         assert main(["build", *base]) == 0
         plain = (out / "edges" / "demo1__TFMN.csv").read_text()
-        assert main(["build", *base, "--relations", str(relations), "--enrich-tfmn"]) == 0
+        assert main(["build", *base, "--relations", str(relations)]) == 0
         enriched = (out / "edges" / "demo1__TFMN.csv").read_text()
         assert "bookie,gloom" not in plain
         assert "bookie,gloom" in enriched
@@ -566,7 +632,6 @@ NON_DEFAULT_TEXT = {
     "relations": None,
     "out_dir": "elsewhere",
     "builders": "TFMN,coocc_WS2",
-    "window_sizes": "2,4",
     "radius": "2",
     "retention": "0.2,0.8",
     "feature_configs": "NetStr,All",
@@ -576,7 +641,6 @@ NON_DEFAULT_TEXT = {
     "n_perm": "500",
     "rng_seed": "11",
     "pagerank_damping": "0.9",
-    "enrich_tfmn": "yes",
     "with_baseline": "off",
     "shap_samples": "300",
     "shap_max_rows": "7",
@@ -599,10 +663,7 @@ class TestOptionParity:
             target = tmp_path / f"{field}.txt"
             target.write_text("x\n", encoding="utf-8")
             text = str(target)
-        # enrich_tfmn needs a relations file, so both sides carry one
-        relations = tmp_path / "relations.tsv"
-        relations.write_text("a\tb\tsynonym\n", encoding="utf-8")
-        base = "[storynets]\n" + (f"relations = {relations}\n" if field != "relations" else "")
+        base = "[storynets]\n"
         plain_ini = tmp_path / "plain.ini"
         plain_ini.write_text(base, encoding="utf-8")
         set_ini = tmp_path / "set.ini"
@@ -623,7 +684,7 @@ class TestMalformedOptionValues:
     """A value that does not parse as its field's type is bad input: exit 2, no traceback."""
 
     @pytest.mark.parametrize(
-        "line", ["rng_seed = abc", "folds = 3.5", "enrich_tfmn = maybe"]
+        "line", ["rng_seed = abc", "folds = 3.5", "export_graphml = maybe"]
     )
     def test_malformed_ini_value_exits_2(self, tmp_path, capsys, line):
         ini = tmp_path / "bad.ini"
@@ -638,6 +699,7 @@ class TestMalformedOptionValues:
             "[other]\nfolds = 2\n",
             "[storynets]\nfolds = 2\nfolds = 3\n",
             "[storynets]\nout_dir = o%1\n",  # bad interpolation
+            "[storynets]\nenrich_tfmn = yes\n",  # unknown key
         ],
     )
     def test_malformed_ini_file_exits_2(self, tmp_path, capsys, text):
@@ -647,7 +709,7 @@ class TestMalformedOptionValues:
         assert "error:" in capsys.readouterr().err
 
     def test_malformed_list_flag_exits_2(self, tmp_path, capsys):
-        assert main(["report", "--out-dir", str(tmp_path / "out"), "--window-sizes", "2,x"]) == 2
+        assert main(["report", "--out-dir", str(tmp_path / "out"), "--retention", "0.5,x"]) == 2
         assert "error:" in capsys.readouterr().err
 
 

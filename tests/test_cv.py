@@ -14,13 +14,13 @@ from storynets.mlharness import (
     make_folds,
     permutation_baseline,
     permute_columns,
-    planted_feature_rows,
     predict_matrix,
     run_matrix,
     select_best,
 )
 from storynets.seeding import derive_seed
 
+from synthetic import planted_feature_rows
 from test_models import SMALL, rows_from_arrays
 
 

@@ -21,7 +21,7 @@ GOLDEN = {
     "trajectories_r0.5.csv": "9ee746d6cba77fe5188ea9ddf8d203c1f8e2093f1a98fc534feea02cdbd566d6",
     "networks.jsonl": "280beb108b02666b8f663896c9e527eadb329402839b873a9e95b51a48118fc7",
     "emotions.csv": "956ea0a8863256e4c86717e60f854c7e9dd0b00b80e7cc2b4b7ac12261124635",
-    "results.json": "037bc1ab3fdff8ddf87332ab0f628040e71d7688165388de10762641dd5d1d01",
+    "results.json": "0fccf35de287339412bdda35935fe68e51b25a9655d1ea8a35b642420681a47e",
     "builder_comparison.csv": "4c9857cfbcbc41741ebc6d0af2ecdecf14a52bbd845f0ebf5363953b72bfc7e8",
     "attributions_mean.csv": "16d2dfa691cd7d09b47bb40758e71adbdbc227350c010018fc2078e87b71fb17",
 }

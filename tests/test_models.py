@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import fit_tree_reference
+from synthetic import planted_feature_rows
 
 from storynets.mlharness import (
     MODEL_KINDS,
@@ -12,7 +13,6 @@ from storynets.mlharness import (
     ModelSpec,
     SingularDesignWarning,
     fit,
-    planted_feature_rows,
     predict_matrix,
 )
 from storynets.mlharness.trees import fit_tree
