@@ -8,15 +8,19 @@ degree-proportional distribution: `stationary_oracle` gives that limit
 in closed form.
 
 `_diffuse` is the one diffusion loop.  It lays several (network, seed)
-runs out as one block-diagonal graph (each run's CSR rows and indices
-offset by its block start) and advances every block at once, so
-`prompt_alphas` pays numpy's per-call overhead once per step for a whole
-story instead of once per run.  Each node's neighbour terms are summed in
-the same order as in a lone run, so every value is bit-identical to it.
-A run stops at the first step whose largest change in its own block
+runs out as one `netbuild.GraphBatch`, a block-diagonal graph with one
+block per run, and advances every block at once, so `prompt_alphas` pays
+numpy's per-call overhead once per step for a whole story instead of
+once per run.  Each node's neighbour terms are summed in the same order
+as in a lone run, so every value is bit-identical to it.  A run stops at
+the first step whose largest change in its own block
 (`np.maximum.reduceat`) drops below `tol`; the loop ends when every run
-has stopped or `max_iter` is reached.  `run_to_stationarity` is the
-one-run case.
+has stopped or `max_iter` is reached.  A maximum does not depend on the
+order it is taken in, so this stop needs none of the residual guard that
+PageRank's summed L1 change does (see `graphmetrics`).
+`run_to_stationarity` is the one-run case.  The component labels that
+`stationary_oracle` reads come from `netbuild.label_components`, which
+`spread` runs once over all of its networks.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .netbuild import GraphBatch
 from .textpipe import match_prompts
 
 DEFAULT_RETENTION = 0.5
@@ -62,15 +67,11 @@ def _diffuse(runs, retention, tol, max_iter):
     _check_retention(retention)
     if not runs:
         return []
-    indexes = [net.index for net, _ in runs]
-    sizes = np.array([len(index.nodes) for index in indexes])
-    starts = np.cumsum(sizes) - sizes
-    rows = np.concatenate([index._rows + s for index, s in zip(indexes, starts)])
-    indices = np.concatenate([index.indices + s for index, s in zip(indexes, starts)])
-    degree = np.concatenate([index.degree for index in indexes])
-    seeds = starts + [index.position[seed] for index, (_, seed) in zip(indexes, runs)]
-    mass = sizes.astype(float)
-    values = np.zeros(int(sizes.sum()))
+    batch = GraphBatch.of([net.index for net, _ in runs])
+    starts, degree = batch.starts, batch.degree
+    seeds = starts + [net.index.position[seed] for net, seed in runs]
+    mass = batch.sizes.astype(float)
+    values = np.zeros(batch.n_nodes)
     values[seeds] = mass
     moving = degree > 0
     history = [values[seeds]]
@@ -81,8 +82,7 @@ def _diffuse(runs, retention, tol, max_iter):
         outflow = np.divide(
             (1.0 - retention) * values, degree, out=np.zeros_like(values), where=moving
         )
-        spread = np.bincount(rows, weights=outflow[indices], minlength=values.size)
-        new = np.where(moving, retention * values + spread, values)
+        new = np.where(moving, retention * values + batch.neighbour_sum(outflow), values)
         delta = np.maximum.reduceat(np.abs(new - values), starts)
         block_drift = np.abs(np.add.reduceat(new, starts) - mass)
         drift[active] = np.maximum(drift[active], block_drift[active])
@@ -179,13 +179,3 @@ def prompt_alphas(story, nets, retention=DEFAULT_RETENTION):
         )
         for tag, net in nets.items()
     }
-
-
-def trajectory_rows(traces_by_story_builder):
-    """Header, then the long-format seed-activation series of every trace;
-    takes ((story_id, builder), traces) pairs, so they may be streamed."""
-    yield ("step", "story_id", "builder", "seed", "value")
-    for (story_id, builder), traces in traces_by_story_builder:
-        for trace in traces:
-            for step_no, value in enumerate(trace.seed_series):
-                yield (step_no, story_id, builder, trace.seed, value)

@@ -18,6 +18,7 @@ import argparse
 import configparser
 import csv
 import hashlib
+import io
 import json
 import logging
 import math
@@ -160,13 +161,31 @@ def _coerce(field, text):
         raise InputFormatError(f"{field.name}: {text!r} is not a value like {like}") from None
 
 
+class _StageParser(argparse.ArgumentParser):
+    """Reports unknown arguments before it checks the stage name: an unknown
+    flag before the stage leaves its value in the stage's place
+    (`--window-sizes 2 report` reads `2` as the stage), so the flag is the
+    fault to name."""
+
+    def parse_args(self, args=None, namespace=None):
+        parsed, extras = self.parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        if parsed.command not in STAGES:
+            self.error(
+                f"argument stage: invalid choice: {parsed.command!r} "
+                f"(choose from {', '.join(STAGES)})"
+            )
+        return parsed
+
+
 def build_arg_parser():
     """The stage name and every option; options may come before or after it."""
-    parser = argparse.ArgumentParser(
+    parser = _StageParser(
         prog="storynets",
         description="Semantic-network pipeline for short narratives",
     )
-    parser.add_argument("command", choices=STAGES, metavar="stage", help=", ".join(STAGES))
+    parser.add_argument("command", metavar="stage", help=", ".join(STAGES))
     parser.add_argument("--config", help="INI config file with a [storynets] section")
     for f in fields(RunConfig):
         flag = _NEGATED_FLAGS.get(f.name, "--" + f.name.replace("_", "-"))
@@ -428,9 +447,12 @@ def _read_networks(config):
 def cmd_features(config):
     paths = _paths(config)
     nets = _read_networks(config)
+    centralisations = graphmetrics.pagerank_centralisations(
+        [net.index for net in nets.values()], damping=config.pagerank_damping
+    )
     feats = {
-        key: graphmetrics.structural_features(net, damping=config.pagerank_damping)
-        for key, net in nets.items()
+        key: graphmetrics.structural_features(net, centralisation=centralisation)
+        for (key, net), centralisation in zip(nets.items(), centralisations)
     }
     _write_csv(paths["features"], graphmetrics.feature_rows(feats))
     paths["histograms_dir"].mkdir(parents=True, exist_ok=True)
@@ -451,11 +473,38 @@ def cmd_features(config):
     return 0
 
 
+def _write_trajectories(path, traces):
+    """The long-format trajectory CSV of ((story_id, builder), traces) pairs: one
+    (step, story_id, builder, seed, value) line per step of each trace.
+
+    The bytes are those of `csv.writer`, but each trace's quoted middle cells
+    are formatted once and its lines are joined in one write.
+    """
+    middle = io.StringIO()
+    cells = csv.writer(middle, lineterminator="\n")
+
+    def write(fh):
+        fh.write("step,story_id,builder,seed,value\n")
+        for (story_id, builder), triple in traces:
+            for trace in triple:
+                middle.seek(0)
+                middle.truncate()
+                cells.writerow(("", story_id, builder, trace.seed, ""))
+                mid = middle.getvalue()[:-1]
+                fh.write("".join(
+                    f"{step}{mid}{value!r}\n" for step, value in enumerate(trace.seed_series)
+                ))
+
+    return _write(path, write)
+
+
 def cmd_spread(config):
     paths = _paths(config)
     stories = _read_corpus(config)
+    nets = _read_networks(config)
+    netbuild.label_components([net.index for net in nets.values()])
     nets_by_story = {}
-    for (story_id, builder), net in _read_networks(config).items():
+    for (story_id, builder), net in nets.items():
         nets_by_story.setdefault(story_id, {})[builder] = net
     outputs = []
     for retention in config.retention:
@@ -472,9 +521,7 @@ def cmd_spread(config):
                     alphas.append((story.id, builder, *(t.stationary_alpha for t in triple)))
                     yield (story.id, builder), triple
 
-        tpath = _write_csv(
-            _trajectory_path(config, retention), activation.trajectory_rows(traces())
-        )
+        tpath = _write_trajectories(_trajectory_path(config, retention), traces())
         outputs.extend([_write_csv(_stationary_path(config, retention), alphas), tpath])
     _write_manifest(config, "spread", [paths["corpus"], paths["networks"]], outputs)
     return 0
@@ -651,18 +698,34 @@ def _retention_finding(config, stationary):
     return f"{head}: " + ("identical" if diff == 0 else f"largest absolute difference {diff:.3g}")
 
 
+_RESULT_FIELDS = ("target", "builder", "config", "model", "mae", "spearman", "pearson",
+                  "permuted")
+
+
+def _read_results(path):
+    """The result rows of `results.json`; a row without one of the fields the
+    report reads is bad input."""
+    try:
+        results = json.loads(path.read_text(encoding="utf-8"))["results"]
+        for i, row in enumerate(results):
+            if not isinstance(row, dict):
+                raise InputFormatError(f"{path}: result row {i} is not an object")
+            missing = [name for name in _RESULT_FIELDS if name not in row]
+            if missing:
+                raise InputFormatError(f"{path}: result row {i} has no field {missing[0]!r}")
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InputFormatError(f"{path}: {exc!r}") from None
+    return results
+
+
 def cmd_report(config):
     paths = _paths(config)
     _require(paths["results"], "evaluate")
     stationary = (
         [_stationary_path(config, r) for r in config.retention] if len(config.retention) > 1 else []
     )
-    try:
-        payload = json.loads(paths["results"].read_text(encoding="utf-8"))
-    except ValueError as exc:
-        raise InputFormatError(f"{paths['results']}: {exc}") from None
+    results = _read_results(paths["results"])
     lines = ["storynets evaluation report", "=" * 60]
-    results = payload["results"]
     real = [r for r in results if not r["permuted"]]
     permuted = {
         (r["target"], r["builder"], r["config"], r["model"]): r

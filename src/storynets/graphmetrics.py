@@ -5,6 +5,20 @@ triangle counting, power iteration) over the network's shared
 `GraphIndex`; path-based measures operate on the largest connected
 component, and graphs too degenerate for a measure yield 0 so feature
 rows stay complete.
+
+PageRank has one power iteration, `_power_iteration`, over a
+`netbuild.GraphBatch`: `pagerank_centralisations` runs it once for the
+LCCs of a whole stage's networks, and `pagerank` and
+`pagerank_centralisation` are the one-network case.  Each block stops at
+the first step whose L1 change in its own block drops below `tol`, so its
+ranks are those of a run on its own, bit for bit: every node's neighbour
+terms are added in the same order.  Stopped blocks leave the batch once
+they are most of it.  The one place the orders differ is the
+residual.  A lone run sums its changes with numpy's pairwise `sum`, while
+`np.add.reduceat` sums each block in another order.  For k non-negative
+terms the two sums differ by less than k * eps * sum, so `_below_tol`
+sums a block again the pairwise way whenever its residual lies that close
+to `tol`.
 """
 
 from __future__ import annotations
@@ -14,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError
+from .netbuild import GraphBatch, label_components
 
 STRUCTURAL_FEATURE_NAMES = (
     "n_nodes",
@@ -83,23 +98,86 @@ def diameter_lcc(net):
     return net.index.lcc_path_lengths[1]
 
 
-def _pagerank_rows(index, rows, damping, tol, max_iter):
-    """Power iteration on the graph induced by `rows`, a union of components."""
-    n = rows.size
-    deg = index.degree[rows].astype(float)
-    contrib = np.zeros(len(index.nodes))
-    rank = np.full(n, 1.0 / n)
-    teleport = (1.0 - damping) / n
+def _check_damping(damping):
+    if not 0 < damping < 1:
+        raise ValueError(f"damping must lie in (0, 1), got {damping}")
+
+
+def _below_tol(diff, starts, sizes, tol):
+    """Per block of the non-negative `diff`, whether the block's sum is below
+    `tol` as its pairwise `diff[block].sum()` decides it."""
+    total = np.add.reduceat(diff, starts)
+    below = total < tol
+    near = np.abs(total - tol) <= sizes * np.finfo(float).eps * total
+    for b in np.flatnonzero(near).tolist():
+        below[b] = diff[starts[b] : starts[b] + sizes[b]].sum() < tol
+    return below
+
+
+def _power_iteration(batch, damping, tol, max_iter):
+    """PageRank of every block of `batch`, each with no degree-0 node.
+
+    A block stops at the first step whose L1 change drops below `tol`;
+    stopped blocks leave the batch once they hold most of it.  Raises
+    ConvergenceError when a block is still going after `max_iter` steps.
+    """
+    rank = np.repeat(1.0 / batch.sizes, batch.sizes)
+    teleport = np.repeat((1.0 - damping) / batch.sizes, batch.sizes)
+    out = np.empty_like(rank)
+    where = np.arange(rank.size)  # each node's position in `out`
+    going = np.ones(batch.sizes.size, dtype=bool)
     for _ in range(max_iter):
-        contrib[rows] = rank / deg
-        new = teleport + damping * index.neighbour_sum(contrib)[rows]
-        residual = np.abs(new - rank).sum()
+        new = teleport + damping * batch.neighbour_sum(rank / batch.degree)
+        diff = np.abs(new - rank)
         rank = new
-        if residual < tol:
-            return rank
+        stopped = going & _below_tol(diff, batch.starts, batch.sizes, tol)
+        if stopped.any():
+            done = stopped[batch.block]
+            out[where[done]] = rank[done]
+            going &= ~stopped
+            if not going.any():
+                return out
+            if 2 * np.count_nonzero(going) < going.size:
+                keep = going[batch.block]
+                batch = batch.induced(keep)
+                rank, teleport, where, diff = rank[keep], teleport[keep], where[keep], diff[keep]
+                going = np.ones(batch.sizes.size, dtype=bool)
+    first = np.flatnonzero(going)[0]
+    start = batch.starts[first]
     raise ConvergenceError(
-        f"pagerank did not converge within {max_iter} iterations", residual=residual
+        f"pagerank did not converge within {max_iter} iterations",
+        residual=float(diff[start : start + batch.sizes[first]].sum()),
     )
+
+
+def pagerank_centralisations(indexes, damping=0.85, tol=1e-10, max_iter=1000):
+    """`pagerank_centralisation` of every index, from one power iteration over
+    all of their LCCs."""
+    _check_damping(damping)
+    if not indexes:
+        return []
+    label_components(indexes)
+    batch = GraphBatch.of(indexes)
+    lcc = np.concatenate([index.component for index in indexes]) == 0
+    ranked = np.bincount(batch.block[lcc], minlength=len(indexes)) > 1
+    out = np.zeros(len(indexes))
+    if ranked.any():
+        lccs = batch.induced(lcc & ranked[batch.block])
+        del batch, lcc  # only the LCCs are iterated
+        rank = _power_iteration(lccs, damping, tol, max_iter)
+        deviation = np.abs(rank - np.repeat(1.0 / lccs.sizes, lccs.sizes))
+        out[ranked] = _sums_in_order(deviation, lccs) / lccs.sizes
+    return out.tolist()
+
+
+def _sums_in_order(values, batch):
+    """Per block, its values added one at a time from the first, as a plain
+    loop adds them (the built-in `sum` compensates from Python 3.12 on)."""
+    total = np.zeros(batch.sizes.size)
+    for i in range(int(batch.sizes.max())):
+        longer = batch.sizes > i
+        total[longer] += values[batch.starts[longer] + i]
+    return total
 
 
 def pagerank(net, damping=0.85, tol=1e-10, max_iter=1000):
@@ -109,8 +187,7 @@ def pagerank(net, damping=0.85, tol=1e-10, max_iter=1000):
     teleports uniformly otherwise.  Expects a connected graph (callers
     pass the LCC subgraph); stops when the L1 change drops below `tol`.
     """
-    if not 0 < damping < 1:
-        raise ValueError(f"damping must lie in (0, 1), got {damping}")
+    _check_damping(damping)
     index = net.index
     n = len(index.nodes)
     if n == 0:
@@ -119,25 +196,21 @@ def pagerank(net, damping=0.85, tol=1e-10, max_iter=1000):
         return {index.nodes[0]: 1.0}
     if np.any(index.degree == 0):
         raise ValueError("pagerank expects a connected graph; pass the LCC subgraph")
-    rank = _pagerank_rows(index, np.arange(n), damping, tol, max_iter)
+    rank = _power_iteration(GraphBatch.of([index]), damping, tol, max_iter)
     return dict(zip(index.nodes, rank.tolist()))
 
 
 def pagerank_centralisation(net, damping=0.85, tol=1e-10, max_iter=1000):
     """Mean absolute deviation of LCC PageRank from uniform, over LCC size."""
-    if not 0 < damping < 1:
-        raise ValueError(f"damping must lie in (0, 1), got {damping}")
-    lcc = net.index.members(0)
-    n = lcc.size
-    if n <= 1:
-        return 0.0
-    ranks = _pagerank_rows(net.index, lcc, damping, tol, max_iter)
-    u = 1.0 / n
-    s = sum(abs(r - u) for r in ranks.tolist())
-    return s / n
+    (centralisation,) = pagerank_centralisations([net.index], damping, tol, max_iter)
+    return centralisation
 
 
-def structural_features(net, damping=0.85):
+def structural_features(net, damping=0.85, centralisation=None):
+    """The network's descriptors; `centralisation`, when given, is its
+    `pagerank_centralisation` from a batch of networks."""
+    if centralisation is None:
+        centralisation = pagerank_centralisation(net, damping=damping)
     return StructuralFeatures(
         n_nodes=net.n_nodes,
         n_edges=net.n_edges,
@@ -145,7 +218,7 @@ def structural_features(net, damping=0.85):
         avg_local_clustering=avg_local_clustering(net),
         aspl_lcc=aspl_lcc(net),
         diameter_lcc=diameter_lcc(net),
-        pagerank_centralisation=pagerank_centralisation(net, damping=damping),
+        pagerank_centralisation=centralisation,
         n_components=net.index.n_components,
     )
 

@@ -1,9 +1,18 @@
-"""Construction of the seven per-story network variants.
+"""Construction of the seven per-story network variants, and their graph forms.
 
 Six sliding-window co-occurrence networks (window sizes 2-4, pronouns
 kept or removed) and one dependency-radius network with valence
 annotation, negation flipping and optional relation-file enrichment.
 All networks are simple, undirected and unweighted.
+
+Each network has one `GraphIndex`, a sorted-node CSR form.  Batched work
+reads a `GraphBatch`: many indexes laid out as one block-diagonal CSR
+graph (a disjoint union, as in PyTorch Geometric's mini-batches), each
+block's rows and indices offset by its start.  A node's neighbours keep
+their ascending order, so a sum over them adds the same terms in the same
+order as on its own index.  Component labelling is one min-label
+propagation over a batch; `GraphIndex.component` is the one-block case,
+and `label_components` labels a whole stage's networks in one pass.
 """
 
 from __future__ import annotations
@@ -59,16 +68,7 @@ class GraphIndex:
 
     @cached_property
     def component(self):
-        # Min-label propagation leaves each node holding its component's
-        # smallest position; components are then ranked by (-size, that).
-        root, previous = np.arange(len(self.nodes)), None
-        while not np.array_equal(root, previous):
-            previous = root.copy()
-            np.minimum.at(root, self._rows, previous[self.indices])
-        roots = np.unique(root)
-        rank = np.empty(len(self.nodes), dtype=np.int64)
-        rank[roots[np.lexsort((roots, -np.bincount(root)[roots]))]] = np.arange(roots.size)
-        return rank[root]
+        return GraphBatch.of([self]).component_labels()
 
     @property
     def n_components(self):
@@ -77,10 +77,6 @@ class GraphIndex:
     def members(self, label):
         """Sorted positions of the nodes in one component."""
         return np.flatnonzero(self.component == label)
-
-    def neighbour_sum(self, values):
-        """Per node, the sum of `values` over its neighbours in ascending order."""
-        return np.bincount(self._rows, weights=values[self.indices], minlength=len(self.nodes))
 
     def dense_adjacency(self):
         adj = np.zeros((len(self.nodes),) * 2, dtype=np.float32)
@@ -106,6 +102,101 @@ class GraphIndex:
             diameter += 1
             total += diameter * int(frontier.sum())
             reached |= frontier
+
+
+@dataclass(frozen=True, eq=False)
+class GraphBatch:
+    """Many graphs as one block-diagonal CSR graph.
+
+    Block `b` holds nodes `starts[b]` to `starts[b] + sizes[b]`, in the
+    order of its own index.  `rows` and `indices` list every (node,
+    neighbour) entry of every block, offset by the block's start and in
+    CSR order, so each node's neighbours stay in ascending order.
+    """
+
+    starts: np.ndarray
+    sizes: np.ndarray
+    rows: np.ndarray
+    indices: np.ndarray
+    degree: np.ndarray
+
+    @classmethod
+    def of(cls, indexes):
+        """The disjoint union of `indexes`, one block each, in the given order."""
+        sizes = np.array([len(index.nodes) for index in indexes], dtype=np.int64)
+        starts = np.cumsum(sizes) - sizes
+        degree = np.concatenate([index.degree for index in indexes] + [_NO_NODES])
+        indices = np.concatenate([index.indices for index in indexes] + [_NO_NODES])
+        indices += np.repeat(starts, [index.indices.size for index in indexes])
+        return cls(
+            starts=starts,
+            sizes=sizes,
+            rows=np.repeat(np.arange(degree.size), degree),
+            indices=indices,
+            degree=degree,
+        )
+
+    @property
+    def n_nodes(self):
+        return self.degree.size
+
+    @cached_property
+    def block(self):
+        """The block of every node."""
+        return np.repeat(np.arange(self.sizes.size), self.sizes)
+
+    def neighbour_sum(self, values):
+        """Per node, the sum of `values` over its neighbours in ascending order."""
+        return np.bincount(self.rows, weights=values[self.indices], minlength=self.n_nodes)
+
+    def induced(self, keep):
+        """The batch on the nodes where the mask `keep` is true; blocks left empty
+        are dropped.  In every block the kept nodes must be a union of whole
+        components, so no kept node loses a neighbour."""
+        sizes = np.bincount(self.block[keep], minlength=self.sizes.size)
+        sizes = sizes[sizes > 0]
+        renumber = np.cumsum(keep) - 1
+        entries = keep[self.rows]
+        return GraphBatch(
+            starts=np.cumsum(sizes) - sizes,
+            sizes=sizes,
+            rows=renumber[self.rows[entries]],
+            indices=renumber[self.indices[entries]],
+            degree=self.degree[keep],
+        )
+
+    def component_labels(self):
+        """Per node, its component's rank within its block: largest first, ties
+        broken by smallest member, so label 0 is each block's LCC."""
+        # Min-label propagation (with pointer jumping) leaves each node holding
+        # its component's smallest position; no edge joins two blocks, so no
+        # label crosses one.
+        root, previous = np.arange(self.n_nodes), None
+        while not np.array_equal(root, previous):
+            previous = root.copy()
+            np.minimum.at(root, self.rows, previous[self.indices])
+            root = root[root]
+        roots = np.unique(root)
+        block = self.block[roots]
+        order = np.lexsort((roots, -np.bincount(root)[roots], block))
+        rank = np.empty(self.n_nodes, dtype=np.int64)
+        # roots ascend, so each block's roots are one run of them
+        rank[roots[order]] = np.arange(roots.size) - np.searchsorted(block, block[order])
+        return rank[root]
+
+
+_NO_NODES = np.zeros(0, dtype=np.int64)
+
+
+def label_components(indexes):
+    """Give every index its `component` labels from one propagation over the
+    batch of those not yet labelled."""
+    pending = [index for index in indexes if "component" not in vars(index)]
+    if pending:
+        batch = GraphBatch.of(pending)
+        labels = batch.component_labels()
+        for index, start, size in zip(pending, batch.starts.tolist(), batch.sizes.tolist()):
+            vars(index)["component"] = labels[start : start + size]  # the cached_property's slot
 
 
 @dataclass(frozen=True)

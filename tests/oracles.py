@@ -11,7 +11,14 @@ run one diffusion at a time, the loop that the batched
 `step` are the dict-based single-step API over the same arithmetic;
 `paired_signflip_test_reference` builds the whole (n_perm, n) sign matrix
 from `integers(0, 2)`, the null that the chunked
-`stats.paired_signflip_test` must match bit for bit.
+`stats.paired_signflip_test` must match bit for bit; `_pagerank_rows` is
+the power iteration of one network on its own, which the batched
+`graphmetrics` PageRank must match bit for bit through
+`pagerank_reference` and `pagerank_centralisation_reference`;
+`trajectory_rows_reference` gives the trajectory CSV cells that
+`cli._write_trajectories` must write byte for byte as `csv.writer` would;
+`component_labels_reference` ranks components found by breadth-first
+search, the labels that the batched min-label propagation must give.
 """
 
 import hashlib
@@ -33,6 +40,7 @@ from storynets.activation import (
     _isolated_seed_trace,
     stationary_oracle,
 )
+from storynets.errors import ConvergenceError
 from storynets.mlharness.trees import TreeArrays
 from storynets.netbuild import LexicalNetwork, make_network
 from storynets.stats import TestResult, _average_ranks, _check_alternative
@@ -239,12 +247,18 @@ class ActivationState:
         return sum(self.values.values())
 
 
+def neighbour_sum(index, values):
+    """Per node of one `GraphIndex`, the sum of `values` over its neighbours in ascending order."""
+    rows = np.repeat(np.arange(len(index.nodes)), index.degree)
+    return np.bincount(rows, weights=values[index.indices], minlength=len(index.nodes))
+
+
 def _advance(values, retention, index):
     moving = index.degree > 0
     outflow = np.divide(
         (1.0 - retention) * values, index.degree, out=np.zeros_like(values), where=moving
     )
-    return np.where(moving, retention * values + index.neighbour_sum(outflow), values)
+    return np.where(moving, retention * values + neighbour_sum(index, outflow), values)
 
 
 def init_activation(net, seed):
@@ -353,3 +367,75 @@ def paired_signflip_test_reference(x, y, n_perm=10_000, rng_seed=0, alternative=
         hits = int(np.sum(null <= observed))
     p = (1 + hits) / (1 + n_perm)
     return TestResult(observed, p, int(d.size), "paired-sign-flip", alternative)
+
+
+def _pagerank_rows(index, rows, damping, tol, max_iter):
+    """Power iteration on the graph induced by `rows`, a union of components."""
+    n = rows.size
+    deg = index.degree[rows].astype(float)
+    contrib = np.zeros(len(index.nodes))
+    rank = np.full(n, 1.0 / n)
+    teleport = (1.0 - damping) / n
+    for _ in range(max_iter):
+        contrib[rows] = rank / deg
+        new = teleport + damping * neighbour_sum(index, contrib)[rows]
+        residual = np.abs(new - rank).sum()
+        rank = new
+        if residual < tol:
+            return rank
+    raise ConvergenceError(
+        f"pagerank did not converge within {max_iter} iterations", residual=residual
+    )
+
+
+def pagerank_reference(net, damping=0.85, tol=1e-10, max_iter=1000):
+    """`graphmetrics.pagerank` of one network, iterated on its own, as an array
+    in sorted-node order (empty for no nodes, [1.0] for one)."""
+    index = net.index
+    if len(index.nodes) < 2:
+        return np.ones(len(index.nodes))
+    return _pagerank_rows(index, np.arange(len(index.nodes)), damping, tol, max_iter)
+
+
+def pagerank_centralisation_reference(net, damping=0.85, tol=1e-10, max_iter=1000):
+    """`graphmetrics.pagerank_centralisation` of one network, iterated on its
+    own; the deviations are added one at a time, in sorted-node order."""
+    lcc = np.flatnonzero(np.array(component_labels_reference(net), dtype=int) == 0)
+    n = lcc.size
+    if n <= 1:
+        return 0.0
+    u = 1.0 / n
+    total = 0.0
+    for r in _pagerank_rows(net.index, lcc, damping, tol, max_iter).tolist():
+        total += abs(r - u)
+    return total / n
+
+
+def trajectory_rows_reference(traces_by_story_builder):
+    """Header, then one (step, story_id, builder, seed, value) row per step of
+    every trace: the cells that `cli._write_trajectories` must write as
+    `csv.writer` would."""
+    yield ("step", "story_id", "builder", "seed", "value")
+    for (story_id, builder), traces in traces_by_story_builder:
+        for trace in traces:
+            for step_no, value in enumerate(trace.seed_series):
+                yield (step_no, story_id, builder, trace.seed, value)
+
+
+def component_labels_reference(net):
+    """Per node in sorted order, its component's rank: components found by
+    breadth-first search, ranked largest first, ties by smallest member."""
+    adj = net.adjacency()
+    seen, comps = set(), []
+    for node in sorted(net.nodes):
+        if node in seen:
+            continue
+        comp, frontier = {node}, [node]
+        while frontier:
+            frontier = [b for a in frontier for b in adj[a] if b not in comp]
+            comp.update(frontier)
+        seen |= comp
+        comps.append(comp)
+    comps.sort(key=lambda c: (-len(c), min(c)))
+    label = {node: rank for rank, comp in enumerate(comps) for node in comp}
+    return [label[node] for node in sorted(net.nodes)]

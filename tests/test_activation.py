@@ -1,8 +1,11 @@
+import csv
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from storynets import cli
 from storynets.activation import (
     TRACE_EXPORT_STEPS,
     ActivationTrace,
@@ -10,7 +13,6 @@ from storynets.activation import (
     prompt_alphas,
     run_to_stationarity,
     stationary_oracle,
-    trajectory_rows,
 )
 from storynets.netbuild import build_all_variants, make_network
 from storynets.textpipe import Story
@@ -268,17 +270,20 @@ class TestBatchedDiffusion:
 
 
 class TestExports:
-    def test_csv_shapes(self, demo_story):
+    def test_csv_shapes(self, demo_story, tmp_path):
         nets = build_all_variants(demo_story)
         per_builder = prompt_alphas(demo_story, nets)
         traces = {("demo1", tag): triple for tag, triple in per_builder.items()}
         assert len(traces) == len(nets)
         assert all(len(triple) == 3 for triple in traces.values())
-        traj = list(trajectory_rows(traces.items()))
-        assert traj[0] == ("step", "story_id", "builder", "seed", "value")
+        path = cli._write_trajectories(tmp_path / "t.csv", traces.items())
+        with open(path, newline="", encoding="utf-8") as fh:
+            traj = list(csv.reader(fh))
+        assert traj[0] == ["step", "story_id", "builder", "seed", "value"]
         # at most 101 rows (steps 0..100) per (builder, seed) series
         assert len(traj) - 1 <= len(nets) * 3 * 101
-        assert all(type(row[4]) is float for row in traj[1:])
+        values = [v for triple in traces.values() for t in triple for v in t.seed_series]
+        assert [row[4] for row in traj[1:]] == [repr(v) for v in values]
 
     def test_trace_invariants(self):
         net = path_graph("a", "b", "c", "d")

@@ -6,11 +6,12 @@ import shutil
 import numpy as np
 import pytest
 
-from storynets import activation, cli
+from storynets import activation, cli, graphmetrics
 from storynets.cli import RunConfig, build_arg_parser, config_hash, main, resolve_config
 from storynets.mlharness import ModelSpec, cv, run_matrix
 
 from conftest import DEMO_STORY_CONLLU, DEMO_STORY_TEXT, LEXICON_TSV
+from oracles import trajectory_rows_reference
 from test_cv import small_features
 
 WORD_POOL = [
@@ -281,6 +282,39 @@ class TestPipeline:
         assert f"error: {results}: " in err and "line" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "payload, named",
+        [({"results": [{"target": "mean"}]}, "'builder'"), ({"results": [3]}, "row 0"),
+         ({"best": {}}, "'results'")],
+    )
+    def test_results_row_without_its_fields_is_bad_input(
+        self, pipeline, tmp_path, capsys, payload, named
+    ):
+        source, config = pipeline
+        out = tmp_path / "out"
+        shutil.copytree(source / "out", out)
+        results = out / "results.json"
+        results.write_text(json.dumps(payload), encoding="utf-8")
+        assert main(["report", "--config", str(config), "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {results}: " in err and named in err
+        assert "Traceback" not in err
+
+    def test_unconverged_pagerank_exits_4(self, pipeline, tmp_path, capsys, monkeypatch):
+        source, config = pipeline
+        out = tmp_path / "out"
+        shutil.copytree(source / "out", out)
+        before = (out / "features.csv").read_bytes()
+        batched = graphmetrics.pagerank_centralisations
+        monkeypatch.setattr(
+            graphmetrics, "pagerank_centralisations",
+            lambda indexes, damping: batched(indexes, damping, max_iter=2),
+        )
+        assert main(["features", "--config", str(config), "--out-dir", str(out)]) == 4
+        assert "pagerank did not converge within 2 iterations" in capsys.readouterr().err
+        assert (out / "features.csv").read_bytes() == before
+        assert not list(out.glob("*.part"))
+
     def test_manifests_digest_every_file_read(self, pipeline, tmp_path):
         source, config = pipeline
         out = tmp_path / "out"
@@ -425,6 +459,23 @@ class TestExitCodes:
 
     def test_options_may_precede_the_stage(self, tmp_path):
         assert main(["--out-dir", str(tmp_path / "fresh"), "features"]) == 3
+
+    @pytest.mark.parametrize("before", [True, False], ids=["before-stage", "after-stage"])
+    def test_unknown_flag_is_named_on_either_side_of_the_stage(self, tmp_path, capsys, before):
+        flag = ["--window-sizes", "2"]
+        rest = ["report", "--out-dir", str(tmp_path / "out")]
+        with pytest.raises(SystemExit) as excinfo:
+            main(flag + rest if before else rest + flag)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "unrecognized arguments: --window-sizes" in err
+        assert "invalid choice" not in err
+
+    def test_unknown_stage_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["reprot"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'reprot'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [("--window-sizes", "2"), ("--enrich-tfmn",)], ids="-".join)
     def test_unknown_flag_exits_2(self, tmp_path, capsys, argv):
@@ -712,6 +763,35 @@ class TestMalformedOptionValues:
         assert main(["report", "--out-dir", str(tmp_path / "out"), "--retention", "0.5,x"]) == 2
         assert "error:" in capsys.readouterr().err
 
+
+def _trace(seed, series):
+    return activation.ActivationTrace(
+        seed=seed, retention=0.5, seed_series=series, stationary_alpha=series[-1],
+        converged=True, steps_taken=len(series) - 1,
+    )
+
+
+class TestWriter:
+    def test_trajectories_are_the_bytes_of_csv_writer(self, tmp_path):
+        traces = [
+            (('story, "one"', "TFMN"), (_trace('a,"b"', (3.0, 0.1, 1e-17)), _trace("c", (2.0,)))),
+            (("plain", "coocc_WS2"), (_trace("line\nbreak", (5.0, 2.5)),)),
+        ]
+        path = cli._write_trajectories(tmp_path / "t.csv", traces)
+        want = tmp_path / "want.csv"
+        with open(want, "w", encoding="utf-8", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(trajectory_rows_reference(traces))
+        assert path.read_bytes() == want.read_bytes()
+        assert b'"story, ""one"""' in path.read_bytes()
+
+    def test_failed_trajectory_write_leaves_no_part_file(self, tmp_path):
+        def traces():
+            yield ("s", "TFMN"), (_trace("a", (1.0, 0.5)),)
+            raise OSError("disk full")
+
+        with pytest.raises(OSError, match="disk full"):
+            cli._write_trajectories(tmp_path / "t.csv", traces())
+        assert list(tmp_path.iterdir()) == []
 
 class TestWriter:
     def test_floats_written_as_repr(self, tmp_path):

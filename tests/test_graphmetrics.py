@@ -20,12 +20,18 @@ from storynets.graphmetrics import (
     diameter_lcc,
     pagerank,
     pagerank_centralisation,
+    pagerank_centralisations,
     structural_features,
 )
 from storynets.netbuild import build_all_variants, build_cooccurrence, make_network
 
 from conftest import make_sentence
-from oracles import induced_subgraph
+from oracles import (
+    induced_subgraph,
+    pagerank_centralisation_reference,
+    pagerank_reference,
+)
+from test_netbuild import small_graphs
 
 
 def path_graph(*labels):
@@ -229,6 +235,106 @@ class TestPagerank:
         reference = oracle_pagerank(net)
         expected = sum(abs(r - 0.25) for r in reference.values()) / 4
         assert pagerank_centralisation(net) == pytest.approx(expected, abs=1e-8)
+
+
+BATCH_CASES = {
+    "path": path_graph(*"abcdefg"),
+    "star": star_graph("hub", list("abcdefghij")),
+    "k2": complete_graph("a", "b"),
+    "single": make_network({"a"}, []),
+    "empty": make_network(set(), []),
+    "components_and_isolates": make_network(
+        "abcdefghijk", [("a", "b"), ("b", "c"), ("c", "a"), ("c", "d"), ("e", "f"), ("g", "h")]
+    ),
+}
+
+
+def _bytes(values):
+    return np.asarray(values, dtype=float).tobytes()
+
+
+class TestBatchedPagerank:
+    """The batched power iteration against one network iterated on its own."""
+
+    @pytest.mark.parametrize("name", list(BATCH_CASES))
+    def test_each_case_alone(self, name):
+        net = BATCH_CASES[name]
+        want = pagerank_centralisation_reference(net)
+        assert _bytes(pagerank_centralisations([net.index])) == _bytes([want])
+        assert _bytes([pagerank_centralisation(net)]) == _bytes([want])
+
+    @pytest.mark.parametrize("name", ["path", "star", "k2", "single", "empty"])
+    def test_pagerank_of_a_connected_case(self, name):
+        net = BATCH_CASES[name]
+        got = pagerank(net)
+        assert list(got) == sorted(net.nodes)
+        assert _bytes(list(got.values())) == _bytes(pagerank_reference(net))
+
+    def test_mixed_batch(self):
+        nets = [*BATCH_CASES.values(), *BATCH_CASES.values()][::-1]
+        nets += [random_graph(5 + seed * 3, 0.25, seed) for seed in range(12)]
+        got = pagerank_centralisations([net.index for net in nets])
+        want = [pagerank_centralisation_reference(net) for net in nets]
+        assert _bytes(got) == _bytes(want)
+
+    @given(st.lists(small_graphs(), min_size=1, max_size=8))
+    @settings(max_examples=60, deadline=None)
+    def test_generated_batches(self, nets):
+        got = pagerank_centralisations([net.index for net in nets], damping=0.7)
+        want = [pagerank_centralisation_reference(net, damping=0.7) for net in nets]
+        assert _bytes(got) == _bytes(want)
+
+    def test_empty_list(self):
+        assert pagerank_centralisations([]) == []
+
+    def test_structural_features_take_the_batched_value(self):
+        nets = list(BATCH_CASES.values())
+        batched = pagerank_centralisations([net.index for net in nets])
+        for net, value in zip(nets, batched):
+            assert structural_features(net, centralisation=value) == structural_features(net)
+
+    def test_one_unconverged_block_raises(self):
+        nets = [BATCH_CASES["k2"], BATCH_CASES["star"]]
+        # K2 is uniform from the first step; the star needs many steps
+        assert pagerank_centralisations([nets[0].index], max_iter=1) == [0.0]
+        with pytest.raises(ConvergenceError) as excinfo:
+            pagerank_centralisations([net.index for net in nets], max_iter=3)
+        assert excinfo.value.residual > 0
+
+
+def _straddling_sums(k, seed):
+    """Non-negative terms whose pairwise sum and `np.add.reduceat` sum differ."""
+    rng = np.random.default_rng(seed)
+    while True:
+        diff = rng.random(k) * 1e-12
+        pairwise, in_blocks = diff.sum(), np.add.reduceat(diff, [0])[0]
+        if pairwise != in_blocks:
+            return diff, pairwise, in_blocks
+
+
+class TestResidualGuard:
+    """`_below_tol` must decide as the pairwise sum does, within k * eps of `tol`."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_tol_between_the_two_sums(self, seed):
+        diff, pairwise, in_blocks = _straddling_sums(200, seed)
+        eps = np.finfo(float).eps
+        assert abs(pairwise - in_blocks) < diff.size * eps * in_blocks
+        for tol in (pairwise, in_blocks, np.nextafter(pairwise, 0), np.nextafter(pairwise, 1)):
+            got = graphmetrics._below_tol(diff, np.array([0]), np.array([diff.size]), tol)
+            assert got.tolist() == [bool(pairwise < tol)]
+        # the raw block sum would decide one of these the other way
+        tol = max(pairwise, in_blocks)
+        assert (in_blocks < tol) != (pairwise < tol)
+
+    def test_guarded_block_among_others(self):
+        diff, pairwise, in_blocks = _straddling_sums(150, 11)
+        tol = max(pairwise, in_blocks)
+        far_below, far_above = np.full(20, tol / 100), np.full(30, tol)
+        terms = np.concatenate([far_below, diff, far_above])
+        starts, sizes = np.array([0, 20, 170]), np.array([20, 150, 30])
+        got = graphmetrics._below_tol(terms, starts, sizes, tol)
+        assert got.tolist() == [True, bool(pairwise < tol), False]
 
 
 class TestStructuralFeatures:

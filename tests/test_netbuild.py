@@ -1,11 +1,15 @@
+import itertools
+
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from storynets import netbuild
 from storynets.errors import ParseIntegrityError
 from storynets.netbuild import (
     BUILDER_TAGS,
+    GraphBatch,
     LexicalNetwork,
     RelationFile,
     add_semantic_edges,
@@ -13,11 +17,12 @@ from storynets.netbuild import (
     build_all_variants,
     build_cooccurrence,
     build_dependency_network,
+    label_components,
     make_network,
 )
 
 from conftest import make_sentence, make_token
-from oracles import edge_hash, parse_graphml
+from oracles import component_labels_reference, edge_hash, parse_graphml
 
 CHILD_PLAY = make_sentence(["child", "play", "football", "game"])
 
@@ -350,3 +355,58 @@ class TestGraphIndex:
         index = make_network(set(), []).index
         assert index.nodes == () and index.n_components == 0
         assert index.lcc_path_lengths == (0, 0)
+
+
+@st.composite
+def small_graphs(draw):
+    """A network of up to 12 nodes with any edge set, isolates included."""
+    labels = [f"v{i:02d}" for i in range(draw(st.integers(0, 12)))]
+    pairs = list(itertools.combinations(labels, 2))
+    edges = draw(st.lists(st.sampled_from(pairs), max_size=24)) if pairs else []
+    return make_network(labels, edges)
+
+
+class TestGraphBatch:
+    def test_blocks_are_offset_copies_of_each_index(self):
+        nets = [
+            make_network("abc", [("a", "b"), ("b", "c")]),
+            make_network(set(), []),
+            make_network("xyz", [("x", "z")]),
+        ]
+        batch = GraphBatch.of([net.index for net in nets])
+        assert batch.starts.tolist() == [0, 3, 3]
+        assert batch.sizes.tolist() == [3, 0, 3]
+        assert batch.block.tolist() == [0, 0, 0, 2, 2, 2]
+        assert batch.degree.tolist() == [1, 2, 1, 1, 0, 1]
+        pairs = list(zip(batch.rows.tolist(), batch.indices.tolist()))
+        assert pairs == [(0, 1), (1, 0), (1, 2), (2, 1), (3, 5), (5, 3)]
+        assert batch.neighbour_sum(np.arange(6.0)).tolist() == [1.0, 2.0, 1.0, 5.0, 0.0, 3.0]
+
+    def test_induced_keeps_whole_components_and_drops_empty_blocks(self):
+        nets = [make_network("abcd", [("a", "b"), ("c", "d")]), make_network("xy", [])]
+        batch = GraphBatch.of([net.index for net in nets])
+        sub = batch.induced(np.array([False, False, True, True, False, False]))
+        assert (sub.starts.tolist(), sub.sizes.tolist()) == ([0], [2])
+        assert list(zip(sub.rows.tolist(), sub.indices.tolist())) == [(0, 1), (1, 0)]
+        assert sub.degree.tolist() == [1, 1]
+
+    def test_empty_batch(self):
+        batch = GraphBatch.of([])
+        assert batch.n_nodes == 0 and batch.component_labels().size == 0
+
+    @given(st.lists(small_graphs(), min_size=1, max_size=6))
+    @settings(max_examples=60, deadline=None)
+    def test_batched_labels_match_each_network_alone(self, nets):
+        batch = GraphBatch.of([net.index for net in nets])
+        labels = batch.component_labels()
+        for net, start, size in zip(nets, batch.starts, batch.sizes):
+            got = labels[start : start + size].tolist()
+            assert got == component_labels_reference(net)
+            assert got == make_network(net.nodes, net.edges).index.component.tolist()
+
+    def test_label_components_fills_every_index_once(self):
+        nets = [make_network("abcd", [("c", "d")]), make_network("xy", [("x", "y")])]
+        first = nets[0].index.component
+        label_components([net.index for net in nets])
+        assert nets[0].index.component is first  # already labelled: left alone
+        assert [net.index.component.tolist() for net in nets] == [[1, 2, 0, 0], [0, 0]]
