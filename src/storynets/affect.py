@@ -15,6 +15,7 @@ from functools import cached_property
 
 from . import netbuild
 from .errors import InputFormatError
+from .textpipe import read_tsv
 
 PLUTCHIK_EMOTIONS = (
     "joy",
@@ -39,6 +40,8 @@ PLUTCHIK_OPPOSITE = {
 }
 
 VALENCE_LABELS = ("positive", "negative")
+
+_LABELS = PLUTCHIK_EMOTIONS + VALENCE_LABELS
 
 SIGNIFICANCE_Z = 1.96
 
@@ -73,36 +76,32 @@ class EmotionLexicon:
         return self.entries.get(lemma, frozenset())
 
 
-def load_lexicon(data):
-    """Parse EmoLex-style TSV: word<TAB>label<TAB>flag(0|1) per row."""
+def _association(word, label, flag):
+    """One lexicon row as (word, label, flagged)."""
+    label = label.lower()
+    if label not in _LABELS:
+        raise ValueError(f"unknown label {label!r}")
+    if flag not in ("0", "1"):
+        raise ValueError(f"flag must be 0 or 1, got {flag!r}")
+    return word.lower(), label, flag == "1"
+
+
+def load_lexicon(data, source="lexicon"):
+    """Parse EmoLex-style TSV: word<TAB>label<TAB>flag(0|1) per row; errors
+    name `source` and the line."""
     if isinstance(data, bytes):
         data = data.decode("utf-8")
     entries: dict[str, set[str]] = {}
     vocabulary = set()
-    known = set(PLUTCHIK_EMOTIONS) | set(VALENCE_LABELS)
-    for lineno, line in enumerate(data.splitlines(), start=1):
-        if not line.strip():
-            continue
-        parts = line.split("\t")
-        if len(parts) != 3:
-            raise InputFormatError(
-                f"lexicon line {lineno}: expected 3 tab-separated columns, got {len(parts)}"
-            )
-        word, label, flag = (p.strip() for p in parts)
-        word = word.lower()
-        label = label.lower()
-        if label not in known:
-            raise InputFormatError(f"lexicon line {lineno}: unknown label {label!r}")
-        if flag not in ("0", "1"):
-            raise InputFormatError(f"lexicon line {lineno}: flag must be 0 or 1, got {flag!r}")
+    for word, label, flagged in read_tsv(data.splitlines(), 3, source, _association):
         vocabulary.add(word)
-        if flag == "1":
+        if flagged:
             entries.setdefault(word, set()).add(label)
     if not entries:
-        raise InputFormatError("lexicon carries no flagged associations; unusable")
+        raise InputFormatError(f"{source} carries no flagged associations; unusable")
     priors = {
         label: sum(1 for labels in entries.values() if label in labels) / len(vocabulary)
-        for label in known
+        for label in _LABELS
     }
     return EmotionLexicon(
         entries={w: frozenset(ls) for w, ls in entries.items()},
@@ -113,7 +112,7 @@ def load_lexicon(data):
 
 def load_lexicon_file(path):
     with open(path, "rb") as fh:
-        return load_lexicon(fh.read())
+        return load_lexicon(fh.read(), source=path)
 
 
 def detect_negations(sentence):

@@ -341,7 +341,7 @@ def cmd_preprocess(config):
     conllu_sentences = None
     if config.conllu:
         with open(config.conllu, "rb") as fh:
-            conllu_sentences = textpipe.read_conllu(fh.read(), stoplist, pronouns)
+            conllu_sentences = textpipe.read_conllu(fh.read(), stoplist, pronouns, config.conllu)
     stories = textpipe.read_stories_csv(
         config.stories_csv, lemma_table, stoplist, pronouns, conllu_sentences
     )

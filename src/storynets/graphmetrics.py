@@ -206,11 +206,11 @@ def pagerank_centralisation(net, damping=0.85, tol=1e-10, max_iter=1000):
     return centralisation
 
 
-def structural_features(net, damping=0.85, centralisation=None):
+def structural_features(net, centralisation=None):
     """The network's descriptors; `centralisation`, when given, is its
     `pagerank_centralisation` from a batch of networks."""
     if centralisation is None:
-        centralisation = pagerank_centralisation(net, damping=damping)
+        centralisation = pagerank_centralisation(net)
     return StructuralFeatures(
         n_nodes=net.n_nodes,
         n_edges=net.n_edges,

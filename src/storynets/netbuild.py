@@ -23,8 +23,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InputFormatError, ParseIntegrityError
-from .textpipe import filter_content
+from .errors import ParseIntegrityError
+from .textpipe import filter_content, read_tsv
 
 BUILDER_TAGS = (
     "coocc_WS2",
@@ -273,33 +273,27 @@ class RelationFile:
     triples: tuple[tuple[str, str, str], ...]
 
     def __post_init__(self):
-        for a, b, kind in self.triples:
-            if kind not in ("synonym", "hypernym"):
-                raise ValueError(f"unknown relation kind {kind!r}")
-            if a != a.lower() or b != b.lower():
-                raise ValueError("relation lemmas must be lowercase")
-            if a == b:
-                raise ValueError(f"self-pair {a!r} in relation file")
+        for triple in self.triples:
+            self.triple(*triple)
+
+    @staticmethod
+    def triple(a, b, kind):
+        """One relation as a triple; an unknown kind, an uppercase lemma or a
+        self-pair is a ValueError."""
+        if kind not in ("synonym", "hypernym"):
+            raise ValueError(f"unknown relation kind {kind!r}")
+        if a != a.lower() or b != b.lower():
+            raise ValueError("relation lemmas must be lowercase")
+        if a == b:
+            raise ValueError(f"self-pair {a!r} in relation file")
+        return a, b, kind
 
 
 def load_relations(path):
-    triples = []
+    """TSV of lemma<TAB>lemma<TAB>kind rows, lowercased on load."""
     with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            parts = line.rstrip("\n").split("\t")
-            if len(parts) != 3:
-                raise InputFormatError(
-                    f"{path}: line {lineno}: expected 3 tab-separated columns, got {len(parts)}"
-                )
-            a, b, kind = (p.strip().lower() for p in parts)
-            if kind not in ("synonym", "hypernym"):
-                raise InputFormatError(f"{path}: line {lineno}: unknown relation kind {kind!r}")
-            if a == b:
-                raise InputFormatError(f"{path}: line {lineno}: self-pair {a!r}")
-            triples.append((a, b, kind))
-    return RelationFile(tuple(triples))
+        rows = read_tsv(fh, 3, path, lambda *cells: RelationFile.triple(*map(str.lower, cells)))
+        return RelationFile(tuple(rows))
 
 
 def build_cooccurrence(sentences, window_size, keep_pronouns, builder_tag=None):

@@ -28,39 +28,50 @@ ABBREVIATIONS = frozenset(
 _WORD_RE = re.compile(r"[A-Za-z]+")
 
 
-def _load_wordlist(name):
-    text = resources.files("storynets.data").joinpath(name).read_text("utf-8")
+def _wordlist(text):
+    """One lowercase entry per line; blank lines ignored."""
     return frozenset(line.strip().lower() for line in text.splitlines() if line.strip())
 
 
+def _bundled_wordlist(name):
+    return _wordlist(resources.files("storynets.data").joinpath(name).read_text("utf-8"))
+
+
 def default_stoplist():
-    return _load_wordlist("stopwords.txt")
+    return _bundled_wordlist("stopwords.txt")
 
 
 def default_pronouns():
-    return _load_wordlist("pronouns.txt")
+    return _bundled_wordlist("pronouns.txt")
 
 
 def load_wordlist(path):
-    """One lowercase entry per line; blank lines ignored."""
     with open(path, encoding="utf-8") as fh:
-        return frozenset(line.strip().lower() for line in fh if line.strip())
+        return _wordlist(fh.read())
+
+
+def read_tsv(lines, n_columns, source, parse):
+    """`parse(*cells)` for each non-blank line of `lines`, its tab-separated
+    cells stripped.  A line without `n_columns` cells, or one that `parse`
+    refuses with a ValueError, is an InputFormatError naming `source` and
+    the line."""
+    for lineno, line in enumerate(lines, start=1):
+        if line.strip():
+            cells = [cell.strip() for cell in line.rstrip("\n").split("\t")]
+            try:
+                if len(cells) != n_columns:
+                    raise ValueError(
+                        f"expected {n_columns} tab-separated columns, got {len(cells)}"
+                    )
+                yield parse(*cells)
+            except ValueError as exc:
+                raise InputFormatError(f"{source}: line {lineno}: {exc}") from None
 
 
 def load_lemma_table(path):
     """TSV of surface<TAB>lemma rows, both lowercased on load."""
-    table = {}
     with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            parts = line.rstrip("\n").split("\t")
-            if len(parts) != 2:
-                raise InputFormatError(
-                    f"{path}: line {lineno}: expected 2 tab-separated columns, got {len(parts)}"
-                )
-            table[parts[0].strip().lower()] = parts[1].strip().lower()
-    return table
+        return dict(read_tsv(fh, 2, path, lambda surface, lemma: (surface.lower(), lemma.lower())))
 
 
 @dataclass(frozen=True)
@@ -93,6 +104,10 @@ class PromptMatch:
             raise ValueError("matched flag and matched_node must agree")
 
 
+# Story ids name files as edges/<story>__<builder>.csv.
+_UNSAFE_ID_PARTS = ("/", "\\", "\0", "__")
+
+
 @dataclass(frozen=True)
 class Story:
     id: str
@@ -103,10 +118,15 @@ class Story:
     mean_rating: float = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
+        if not self.id or any(part in self.id for part in _UNSAFE_ID_PARTS):
+            raise ValueError(
+                f"story id {self.id!r} is not a safe file name "
+                "(empty, or contains '/', '\\', NUL or the '__' separator)"
+            )
         if len(self.prompt_lemmas) != 3:
             raise ValueError("a story carries exactly three prompt lemmas")
-        if any(p != p.lower() for p in self.prompt_lemmas):
-            raise ValueError("prompt lemmas must be lowercase")
+        if any(not p or p != p.lower() for p in self.prompt_lemmas):
+            raise ValueError(f"prompt lemmas must be non-empty lowercase: {self.prompt_lemmas}")
         for rater, value in self.ratings.items():
             if not 1 <= value <= 5:
                 raise ValueError(f"rating {value!r} by {rater!r} outside [1, 5]")
@@ -197,26 +217,18 @@ def tokenize_and_lemmatize(
     surface.  Pronouns are kept only when `keep_pronouns` is set, whether
     or not they are stop-words; other stop-words are dropped.
     """
-    kept = []
+    tokens = []
     for surface in _WORD_RE.findall(sentence):
         lower = surface.lower()
         lemma = lemma_table.get(lower, lower)
         is_stop = lower in stoplist or lemma in stoplist
         is_pron = lemma in pronouns
         if _is_content(lemma, is_stop, is_pron, keep_pronouns):
-            kept.append((surface, lemma, is_stop, is_pron))
-    return [
-        Token(
-            surface=surface,
-            lemma=lemma,
-            upos="X",
-            sentence_index=sentence_index,
-            token_index=idx,
-            is_stop=is_stop,
-            is_pronoun=is_pron,
-        )
-        for idx, (surface, lemma, is_stop, is_pron) in enumerate(kept)
-    ]
+            tokens.append(Token(
+                surface, lemma, "X", sentence_index, len(tokens),
+                is_stop=is_stop, is_pronoun=is_pron,
+            ))
+    return tokens
 
 
 def filter_content(sentence, keep_pronouns):
@@ -284,103 +296,80 @@ def match_prompts(story):
 _CONLLU_COLUMNS = 10
 
 
-def read_conllu(data, stoplist=None, pronouns=None):
+def read_conllu(data, stoplist=None, pronouns=None, source="CoNLL-U"):
     """Parse CoNLL-U bytes/text into {story_id: [sentence, ...]}.
 
     Each sentence block must carry a `# story_id = <id>` comment.  The
     1-based HEAD column becomes a 0-based `head_index` (HEAD=0 -> None);
     multiword ranges and empty nodes are skipped.  Stop/pronoun flags are
-    recomputed against the supplied (or bundled) word lists.
+    recomputed against the supplied (or bundled) word lists.  Errors name
+    `source` and the line.
     """
     if isinstance(data, bytes):
         data = data.decode("utf-8")
     stoplist = default_stoplist() if stoplist is None else stoplist
     pronouns = default_pronouns() if pronouns is None else pronouns
-
     stories: dict[str, list[tuple[Token, ...]]] = {}
-    block_rows: list[tuple[int, list[str]]] = []
+    rows: list[tuple[int, list[str]]] = []
     story_id = None
-
-    def flush(last_line):
-        nonlocal block_rows, story_id
-        if not block_rows:
-            story_id = None
-            return
-        if story_id is None:
-            raise InputFormatError(
-                f"sentence block ending at line {last_line} has no '# story_id =' comment"
-            )
-        sentences = stories.setdefault(story_id, [])
-        sentences.append(
-            _build_sentence(block_rows, len(sentences), stoplist, pronouns)
-        )
-        block_rows = []
-        story_id = None
-
-    lineno = 0
-    for lineno, line in enumerate(data.splitlines(), start=1):
-        line = line.rstrip("\n")
-        if not line.strip():
-            flush(lineno)
-            continue
+    # the blank line appended closes the last block
+    for lineno, line in enumerate(data.splitlines() + [""], start=1):
         if line.startswith("#"):
-            body = line[1:].strip()
-            if body.startswith("story_id"):
-                _, _, value = body.partition("=")
+            key, _, value = line[1:].partition("=")
+            if key.strip() == "story_id":
                 story_id = value.strip()
-            continue
-        cols = line.split("\t")
-        if len(cols) != _CONLLU_COLUMNS:
-            raise InputFormatError(
-                f"line {lineno}: expected {_CONLLU_COLUMNS} tab-separated columns, got {len(cols)}"
-            )
-        tok_id = cols[0]
-        if "-" in tok_id or "." in tok_id:
-            continue  # multiword range / empty node
-        block_rows.append((lineno, cols))
-    flush(lineno + 1)
+        elif line.strip():
+            cols = line.split("\t")
+            if len(cols) != _CONLLU_COLUMNS:
+                raise InputFormatError(
+                    f"{source}: line {lineno}: expected {_CONLLU_COLUMNS} tab-separated "
+                    f"columns, got {len(cols)}"
+                )
+            if "-" not in cols[0] and "." not in cols[0]:  # not a multiword range or empty node
+                rows.append((lineno, cols))
+        else:
+            if rows:
+                if story_id is None:
+                    raise InputFormatError(
+                        f"{source}: sentence block ending at line {lineno} has no "
+                        "'# story_id =' comment"
+                    )
+                sentences = stories.setdefault(story_id, [])
+                sentences.append(_build_sentence(rows, len(sentences), stoplist, pronouns, source))
+                rows = []
+            story_id = None
     return {sid: tuple(sents) for sid, sents in stories.items()}
 
 
-def _build_sentence(rows, sentence_index, stoplist, pronouns):
-    id_to_pos = {}
-    for pos, (lineno, cols) in enumerate(rows):
-        try:
-            cid = int(cols[0])
-        except ValueError as exc:
-            raise InputFormatError(f"line {lineno}: bad token id {cols[0]!r}") from exc
-        id_to_pos[cid] = pos
-    tokens = []
-    for pos, (lineno, cols) in enumerate(rows):
-        surface = cols[1]
-        lemma = (cols[2] if cols[2] != "_" else surface).lower()
-        upos = cols[3]
-        try:
-            head = int(cols[6])
-        except ValueError as exc:
-            raise InputFormatError(f"line {lineno}: bad HEAD value {cols[6]!r}") from exc
-        if head == 0:
-            head_index = None
-        else:
-            if head not in id_to_pos:
-                raise InputFormatError(
-                    f"line {lineno}: HEAD {head} refers to a missing token id"
-                )
-            head_index = id_to_pos[head]
-        deprel = cols[7] if cols[7] != "_" else None
-        tokens.append(
-            Token(
-                surface=surface,
-                lemma=lemma,
-                upos=upos,
-                sentence_index=sentence_index,
-                token_index=pos,
-                head_index=head_index,
-                deprel=deprel,
+def _int_cell(text, name):
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"{name} {text!r} is not an integer") from None
+
+
+def _build_sentence(rows, sentence_index, stoplist, pronouns, source):
+    """One sentence from a block's (line number, columns) rows; a row that breaks
+    the format or a rule of `Token` is an InputFormatError naming its line."""
+    tokens, position = [], {}
+    try:
+        for pos, (lineno, cols) in enumerate(rows):
+            position[_int_cell(cols[0], "token id")] = pos
+        for pos, (lineno, cols) in enumerate(rows):
+            head = _int_cell(cols[6], "HEAD")
+            if head and head not in position:
+                raise ValueError(f"HEAD {head} refers to a missing token id")
+            surface = cols[1]
+            lemma = (cols[2] if cols[2] != "_" else surface).lower()
+            tokens.append(Token(
+                surface, lemma, cols[3], sentence_index, pos,
+                head_index=position[head] if head else None,
+                deprel=cols[7] if cols[7] != "_" else None,
                 is_stop=surface.lower() in stoplist or lemma in stoplist,
                 is_pronoun=lemma in pronouns,
-            )
-        )
+            ))
+    except ValueError as exc:
+        raise InputFormatError(f"{source}: line {lineno}: {exc}") from None
     return tuple(tokens)
 
 
@@ -472,25 +461,20 @@ def story_from_json(line):
     )
 
 
-# Story ids name files as edges/<story>__<builder>.csv.
-_UNSAFE_ID_PARTS = ("/", "\\", "\0", "__")
-
-
 def read_stories_csv(path, lemma_table, stoplist, pronouns, conllu_sentences=None):
     """Build Story objects from the corpus CSV.
 
     Expected columns: id, prompt1..prompt3, text, then one column per
     rater.  When `conllu_sentences` supplies a parse for a story id, the
-    parsed sentences replace the plain-text tokenisation.  Story ids
-    must be safe file names: an empty id, or one with a path separator,
-    NUL or `__`, is an InputFormatError.
+    parsed sentences replace the plain-text tokenisation.  A row with the
+    wrong number of cells, a repeated id, a rating that is not an integer,
+    or values `Story` refuses is an InputFormatError naming its row.
     """
     stories = []
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
+        header = next(reader, None)
+        if header is None:
             return []
         if len(header) < 6:
             raise InputFormatError(
@@ -499,52 +483,30 @@ def read_stories_csv(path, lemma_table, stoplist, pronouns, conllu_sentences=Non
         rater_ids = [h.strip() for h in header[5:]]
         seen_ids = set()
         for rowno, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
+            if not any(cell.strip() for cell in row):
                 continue
-            if len(row) != len(header):
-                raise InputFormatError(
-                    f"{path}: row {rowno}: expected {len(header)} cells, got {len(row)}"
-                )
-            story_id = row[0].strip()
-            if not story_id or any(part in story_id for part in _UNSAFE_ID_PARTS):
-                raise InputFormatError(
-                    f"{path}: row {rowno}: story id {story_id!r} is not a safe file name "
-                    "(empty, or contains '/', '\\', NUL or the '__' separator)"
-                )
-            if story_id in seen_ids:
-                raise InputFormatError(f"{path}: row {rowno}: duplicate story id {story_id!r}")
-            seen_ids.add(story_id)
-            prompts = tuple(p.strip().lower() for p in row[1:4])
-            text = row[4]
-            ratings = {}
-            for rater, cell in zip(rater_ids, row[5:]):
-                cell = cell.strip()
-                if not cell:
-                    continue
-                try:
-                    value = int(cell)
-                except ValueError as exc:
-                    raise InputFormatError(
-                        f"{path}: row {rowno}: rating {cell!r} is not an integer"
-                    ) from exc
-                if not 1 <= value <= 5:
-                    raise InputFormatError(
-                        f"{path}: row {rowno}: rating {value} outside [1, 5]"
-                    )
-                ratings[rater] = value
-            if not ratings:
-                raise InputFormatError(f"{path}: row {rowno}: story has no ratings")
-            if conllu_sentences is not None and story_id in conllu_sentences:
-                sentences = conllu_sentences[story_id]
-            else:
-                sentences = tokenize_text(text, lemma_table, stoplist, pronouns)
-            stories.append(
-                Story(
+            try:
+                if len(row) != len(header):
+                    raise ValueError(f"expected {len(header)} cells, got {len(row)}")
+                story_id, text = row[0].strip(), row[4]
+                if story_id in seen_ids:
+                    raise ValueError(f"duplicate story id {story_id!r}")
+                seen_ids.add(story_id)
+                if conllu_sentences is not None and story_id in conllu_sentences:
+                    sentences = conllu_sentences[story_id]
+                else:
+                    sentences = tokenize_text(text, lemma_table, stoplist, pronouns)
+                stories.append(Story(
                     id=story_id,
-                    prompt_lemmas=prompts,
+                    prompt_lemmas=tuple(p.strip().lower() for p in row[1:4]),
                     text=text,
                     sentences=sentences,
-                    ratings=ratings,
-                )
-            )
+                    ratings={
+                        rater: _int_cell(cell.strip(), "rating")
+                        for rater, cell in zip(rater_ids, row[5:])
+                        if cell.strip()
+                    },
+                ))
+            except ValueError as exc:
+                raise InputFormatError(f"{path}: row {rowno}: {exc}") from None
     return stories

@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 from hypothesis import given
@@ -12,6 +13,7 @@ from storynets.affect import (
     emotion_zscores,
     emotion_rows,
     load_lexicon,
+    load_lexicon_file,
     profile_story,
 )
 from storynets.errors import InputFormatError, ParseIntegrityError
@@ -50,6 +52,14 @@ class TestLoadLexicon:
     def test_bad_flag_rejected(self):
         with pytest.raises(InputFormatError, match="flag"):
             load_lexicon("cat\tjoy\t2\n")
+
+    def test_unknown_label_names_file_and_line(self, tmp_path):
+        path = tmp_path / "lexicon.tsv"
+        path.write_text("cat\tjoy\t1\ndog\tglee\t1\n", encoding="utf-8")
+        with pytest.raises(
+            InputFormatError, match=f"^{re.escape(str(path))}: line 2: unknown label 'glee'"
+        ):
+            load_lexicon_file(path)
 
     def test_valence_sets_built_once(self):
         lex = load_lexicon(LEXICON_TSV)

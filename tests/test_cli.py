@@ -11,7 +11,7 @@ from storynets.cli import RunConfig, build_arg_parser, config_hash, main, resolv
 from storynets.mlharness import ModelSpec, cv, run_matrix
 
 from conftest import DEMO_STORY_CONLLU, DEMO_STORY_TEXT, LEXICON_TSV
-from oracles import trajectory_rows_reference
+from oracles import parse_graphml, trajectory_rows_reference
 from test_cv import small_features
 
 WORD_POOL = [
@@ -254,8 +254,11 @@ class TestPipeline:
                 {**json.loads(lines[2]), "edges": [["aaa", "zzz"]]})),
             ("evaluate", "corpus.jsonl", lambda lines: json.dumps(
                 {**json.loads(lines[2]), "ratings": []})),
+            ("build", "corpus.jsonl", lambda lines: json.dumps(
+                {**json.loads(lines[2]), "id": "../../escaped"})),
         ],
-        ids=["truncated-line", "no-sentences", "edge-outside-nodes", "ratings-not-a-mapping"],
+        ids=["truncated-line", "no-sentences", "edge-outside-nodes", "ratings-not-a-mapping",
+             "unsafe-story-id"],
     )
     def test_malformed_upstream_json_is_bad_input(
         self, pipeline, tmp_path, capsys, stage, name, damage
@@ -386,6 +389,41 @@ class TestPipeline:
         )
         histograms = sorted(p.name for p in (out / "histograms").iterdir())
         assert len(histograms) == 8 and all(name.endswith("__TFMN.csv") for name in histograms)
+
+    def test_graphml_export_reads_back_as_each_network(self, pipeline, tmp_path):
+        source, config = pipeline
+        out = tmp_path / "out"
+        shutil.copytree(source / "out", out)
+        argv = ["build", "--config", str(config), "--out-dir", str(out), "--export-graphml"]
+        assert main(argv) == 0
+        nets = dict(cli._read_networks(RunConfig(out_dir=str(out))))
+        files = sorted((out / "graphml").iterdir())
+        assert [p.name for p in files] == sorted(f"{s}__{b}.graphml" for s, b in nets)
+        for path in files:
+            net = nets[tuple(path.stem.split("__"))]
+            back = parse_graphml(path.read_text(encoding="utf-8"))
+            assert (back.nodes, back.edges) == (net.nodes, net.edges)
+            assert {n: back.node_valence(n) for n in back.nodes} == {
+                n: net.node_valence(n) for n in net.nodes
+            }
+        assert main([*argv, "--builders", "TFMN"]) == 0
+        assert sorted(p.name for p in (out / "graphml").iterdir()) == sorted(
+            f"{s}__TFMN.graphml" for s, b in nets if b == "TFMN"
+        )
+
+    def test_per_rater_target(self, pipeline, tmp_path, capsys):
+        source, config = pipeline
+        out = tmp_path / "out"
+        shutil.copytree(source / "out", out)
+        argv = ["evaluate", "--config", str(config), "--out-dir", str(out)]
+        assert main([*argv, "--targets", "H"]) == 0
+        results = json.loads((out / "results.json").read_text())
+        assert {r["target"] for r in results["results"]} == {"H"}
+        assert (out / "attributions_H.csv").exists()
+        before = {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()}
+        assert main([*argv, "--targets", "nobody"]) == 2
+        assert "error: no story carries a rating column 'nobody'" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()} == before
 
     def test_failed_build_keeps_earlier_edge_files(self, pipeline, tmp_path, monkeypatch):
         source, config = pipeline
@@ -544,6 +582,12 @@ class TestExitCodes:
             ("--feature-configs=",),
             ("--retention=",),
             ("--targets=",),
+            ("--folds", "1"),
+            ("--radius", "0"),
+            ("--retention", "1.0"),
+            ("--feature-configs", "Foo"),
+            ("--models", "svm"),
+            ("--pagerank-damping", "1.0"),
         ],
         ids="-".join,
     )
@@ -601,6 +645,34 @@ class TestExitCodes:
         out = tmp_path / "out_unsafe"
         assert main(["preprocess", "--stories-csv", str(stories_csv), "--out-dir", str(out)]) == 2
         assert not (out / "corpus.jsonl").exists()
+
+    @pytest.mark.parametrize(
+        "prompt3, cell",
+        [("sun", (2, "")), ("sun", (6, "2")), ("", None)],
+        ids=["empty-lemma", "own-head", "empty-prompt"],
+    )
+    def test_row_a_value_type_refuses_is_bad_input(self, tmp_path, capsys, prompt3, cell):
+        stories_csv = tmp_path / "stories.csv"
+        with open(stories_csv, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(["id", "prompt1", "prompt2", "prompt3", "text", "R"])
+            writer.writerow(["p1", "cat", "dog", prompt3, "Cat dog sun walk.", "3"])
+        lines = chain_parse_block("p1", ["Cat", "dog", "sun", "walk"]).splitlines()
+        if cell:
+            cells = lines[2].split("\t")  # line 3: "dog", token 2, whose HEAD is 3
+            cells[cell[0]] = cell[1]
+            lines[2] = "\t".join(cells)
+        conllu = tmp_path / "stories.conllu"
+        conllu.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        out = tmp_path / "out"
+        argv = ["preprocess", "--stories-csv", str(stories_csv), "--conllu", str(conllu),
+                "--out-dir", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        where = f"{conllu}: line 3:" if cell else f"{stories_csv}: row 2:"
+        assert f"error: {where}" in err
+        assert "Traceback" not in err
+        assert list(out.iterdir()) == []
 
     def test_tfmn_without_parse_is_bad_input(self, tmp_path):
         stories_csv = tmp_path / "plain.csv"
@@ -771,7 +843,7 @@ def _trace(seed, series):
     )
 
 
-class TestWriter:
+class TestTrajectoryWriter:
     def test_trajectories_are_the_bytes_of_csv_writer(self, tmp_path):
         traces = [
             (('story, "one"', "TFMN"), (_trace('a,"b"', (3.0, 0.1, 1e-17)), _trace("c", (2.0,)))),

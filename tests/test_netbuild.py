@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from storynets import netbuild
-from storynets.errors import ParseIntegrityError
+from storynets.errors import InputFormatError, ParseIntegrityError
 from storynets.netbuild import (
     BUILDER_TAGS,
     GraphBatch,
@@ -265,6 +266,23 @@ class TestSemanticEdges:
     def test_relation_kind_validated(self):
         with pytest.raises(ValueError):
             RelationFile((("a", "b", "antonym"),))
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("dog\twolf", "expected 3 tab-separated columns, got 2"),
+            ("dog\twolf\tantonym", "unknown relation kind 'antonym'"),
+            ("Dog\tdog\tsynonym", "self-pair 'dog'"),
+        ],
+        ids=["cell-count", "kind", "self-pair"],
+    )
+    def test_relation_file_row_names_file_and_line(self, tmp_path, row, message):
+        path = tmp_path / "relations.tsv"
+        path.write_text(f"Dog\tCanine\tSynonym\n{row}\n", encoding="utf-8")
+        with pytest.raises(InputFormatError, match=f"^{re.escape(str(path))}: line 2: {message}"):
+            netbuild.load_relations(path)
+        path.write_text("Dog\tCanine\tSynonym\n", encoding="utf-8")
+        assert netbuild.load_relations(path).triples == (("dog", "canine", "synonym"),)
 
 
 class TestBuildAllVariants:

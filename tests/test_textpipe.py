@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -209,6 +211,27 @@ class TestReadConllu:
         with pytest.raises(InputFormatError, match="story_id"):
             read_conllu(data)
 
+    def test_story_id_key_is_matched_exactly(self):
+        row = "1\tword\tword\tNOUN\t_\t_\t0\troot\t_\t_\n"
+        assert set(read_conllu("# story_id = s1\n# story_idx = s2\n" + row)) == {"s1"}
+        with pytest.raises(InputFormatError, match="story_id"):
+            read_conllu("# story_idx = s1\n" + row)
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("x\tdog\tdog\tNOUN\t_\t_\t0\troot\t_\t_", "token id 'x' is not an integer"),
+            ("2\tdog\tdog\tNOUN\t_\t_\t?\tdep\t_\t_", "HEAD '\\?' is not an integer"),
+            ("2\tdog\t\tNOUN\t_\t_\t1\tdep\t_\t_", "lemma must be non-empty"),
+            ("2\tdog\tdog\tNOUN\t_\t_\t2\tdep\t_\t_", "token 1 cannot be its own head"),
+        ],
+        ids=["token-id", "head", "empty-lemma", "own-head"],
+    )
+    def test_bad_row_names_source_and_line(self, row, message):
+        data = "# story_id = s\n1\tcat\tcat\tNOUN\t_\t_\t0\troot\t_\t_\n" + row + "\n"
+        with pytest.raises(InputFormatError, match=f"^parses.conllu: line 3: {message}"):
+            read_conllu(data, source="parses.conllu")
+
     def test_head_outside_sentence_is_an_error(self):
         data = "# story_id = s\n1\tword\tword\tNOUN\t_\t_\t9\tdep\t_\t_\n"
         with pytest.raises(InputFormatError, match="HEAD"):
@@ -241,6 +264,14 @@ class TestStory:
     def test_exactly_three_prompts(self):
         with pytest.raises(ValueError):
             Story("s", ("a", "b"), "", (), {"r1": 3})
+
+    @pytest.mark.parametrize(
+        "story_id, prompts",
+        [("a/b", ("a", "b", "c")), ("a__b", ("a", "b", "c")), ("s", ("a", "", "c"))],
+    )
+    def test_unsafe_id_and_empty_prompt_refused(self, story_id, prompts):
+        with pytest.raises(ValueError):
+            Story(story_id, prompts, "", (), {"r1": 3})
 
     def test_json_roundtrip(self, demo_story):
         again = textpipe.story_from_json(textpipe.story_to_json(demo_story))
@@ -292,3 +323,36 @@ class TestMatchPrompts:
     def test_first_matching_token_wins(self):
         story = _story_from_words(["gleam", "gloom"], ("gloom", "gleam", "gleam"))
         assert match_prompts(story)[0].matched_node == "gloom"
+
+
+class TestTableReaders:
+    """The lemma table and the stories CSV name the file and line or row of a bad input."""
+
+    def test_lemma_table_cell_count(self, tmp_path):
+        path = tmp_path / "lemmas.tsv"
+        path.write_text("Children\tChild\n\nran\trun\textra\n", encoding="utf-8")
+        with pytest.raises(
+            InputFormatError,
+            match=f"^{re.escape(str(path))}: line 3: expected 2 tab-separated columns, got 3",
+        ):
+            textpipe.load_lemma_table(path)
+        path.write_text("Children\tChild\n\nran\t run \n", encoding="utf-8")
+        assert textpipe.load_lemma_table(path) == {"children": "child", "ran": "run"}
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("s2,cat,dog,sun,Cat.", "expected 6 cells, got 5"),
+            ("s1,cat,dog,sun,Cat.,4", "duplicate story id 's1'"),
+            ("s2,cat,dog,sun,Cat.,3.5", "rating '3.5' is not an integer"),
+            ("s2,cat,dog,sun,Cat.,6", r"rating 6 by 'R' outside \[1, 5\]"),
+            ("s2,cat,dog,sun,Cat., ", "a story needs at least one rating"),
+        ],
+        ids=["cell-count", "duplicate-id", "non-integer", "out-of-range", "no-ratings"],
+    )
+    def test_stories_csv_row_names_file_and_row(self, tmp_path, row, message):
+        path = tmp_path / "stories.csv"
+        header = "id,prompt1,prompt2,prompt3,text,R"
+        path.write_text(f"{header}\ns1,cat,dog,sun,Cat.,3\n{row}\n", encoding="utf-8")
+        with pytest.raises(InputFormatError, match=f"^{re.escape(str(path))}: row 3: {message}"):
+            textpipe.read_stories_csv(path, {}, set(), set())
