@@ -13,9 +13,8 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
-from . import netbuild
 from .errors import InputFormatError
-from .textpipe import read_tsv
+from .textpipe import read_tsv, tree_neighbourhoods
 
 PLUTCHIK_EMOTIONS = (
     "joy",
@@ -120,9 +119,8 @@ def detect_negations(sentence):
 
     With dependency labels present, a token is negated when a cue is its
     direct dependent or a sibling under the same head.  With bare heads
-    the rule is tree distance <= 2 from a cue (a cyclic head chain raises
-    ParseIntegrityError); without any parse it falls back to linear
-    distance <= 2.  Cue tokens themselves never flip.
+    the rule is tree distance <= 2 from a cue; without any parse it falls
+    back to linear distance <= 2.  Cue tokens themselves never flip.
     """
     cue_positions = [
         t.token_index
@@ -146,10 +144,8 @@ def detect_negations(sentence):
                 elif heads[c] is not None and heads[c] == tok.head_index:
                     negated.add(tok.token_index)
     elif has_heads:
-        adj = netbuild._tree_adjacency(sentence)
-        for c in cue_positions:
-            dist = netbuild._tree_distances_within(adj, c, 2)
-            negated.update(p for p in dist if p not in cue_set)
+        for near in tree_neighbourhoods(sentence, cue_positions, 2):
+            negated.update(near - cue_set)
     else:
         for tok in sentence:
             if tok.token_index in cue_set:

@@ -313,21 +313,32 @@ def _load_wordlists(config):
 
 
 def _read_jsonl(path, parse):
-    """`parse(line)` for each non-blank line of an upstream JSON-lines file; a
-    line that does not parse is bad input."""
+    """{key: record} of the (key, record) pair `parse(line)` gives for each
+    non-blank line of an upstream JSON-lines file, in file order; a line that
+    does not parse, or repeats a key, is bad input."""
+    records = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if line.strip():
                 try:
-                    yield parse(line)
+                    key, record = parse(line)
+                    if key in records:
+                        raise ValueError(f"repeated record {key!r}")
+                    records[key] = record
                 except (AttributeError, KeyError, TypeError, ValueError) as exc:
                     raise InputFormatError(f"{path}, line {lineno}: {exc!r}") from None
+    return records
+
+
+def _story_from_json(line):
+    story = textpipe.story_from_json(line)
+    return story.id, story
 
 
 def _read_corpus(config):
     path = _paths(config)["corpus"]
     _require(path, "preprocess")
-    return list(_read_jsonl(path, textpipe.story_from_json))
+    return list(_read_jsonl(path, _story_from_json).values())
 
 
 # ---------------------------------------------------------------------------
@@ -432,16 +443,14 @@ def cmd_build(config):
 
 def _network_from_json(line):
     r = json.loads(line)
-    net = netbuild.make_network(
-        r["nodes"], [tuple(e) for e in r["edges"]], r["builder"], r.get("valence", {})
-    )
+    net = netbuild.LexicalNetwork(r["nodes"], r["edges"], r["builder"], r.get("valence", {}))
     return (r["story_id"], r["builder"]), net
 
 
 def _read_networks(config):
     path = _paths(config)["networks"]
     _require(path, "build")
-    return dict(_read_jsonl(path, _network_from_json))
+    return _read_jsonl(path, _network_from_json)
 
 
 def cmd_features(config):
@@ -543,7 +552,8 @@ def cmd_emotions(config):
 
 def _read_csv(path, names, keys):
     """{row[keys[0]]: ... {name: float}} for the named columns of an upstream
-    CSV; a missing column or a value that is not a finite number is bad input."""
+    CSV; a missing column, a value that is not a finite number or a repeated
+    key is bad input."""
     table = {}
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
@@ -555,6 +565,8 @@ def _read_csv(path, names, keys):
                 node = table
                 for key in keys[:-1]:
                     node = node.setdefault(row[key], {})
+                if row[keys[-1]] in node:
+                    raise ValueError(f"repeated row {tuple(row[key] for key in keys)!r}")
                 node[row[keys[-1]]] = values
             except (KeyError, TypeError, ValueError) as exc:
                 raise InputFormatError(f"{path}, line {reader.line_num}: {exc!r}") from None

@@ -13,10 +13,6 @@ class InputFormatError(StorynetsError):
     """Unreadable or malformed input file (CSV/TSV/CoNLL-U/lexicon/config)."""
 
 
-class ParseIntegrityError(InputFormatError):
-    """Dependency head structure is not a well-formed tree (e.g. cycles)."""
-
-
 class MissingUpstreamError(StorynetsError):
     """A pipeline stage was invoked before the stage it depends on."""
 

@@ -62,17 +62,7 @@ def make_folds(n_rows, k, rng_seed):
         raise ValueError(f"need at least 2 folds, got {k}")
     if n_rows < k:
         raise ValueError(f"cannot split {n_rows} rows into {k} folds")
-    rng = np.random.default_rng(rng_seed)
-    order = rng.permutation(n_rows)
-    base = n_rows // k
-    extra = n_rows % k
-    folds = []
-    start = 0
-    for i in range(k):
-        size = base + (1 if i < extra else 0)
-        folds.append(order[start : start + size])
-        start += size
-    return folds
+    return np.array_split(np.random.default_rng(rng_seed).permutation(n_rows), k)
 
 
 def fold_models(table, spec, k, rng_seed):

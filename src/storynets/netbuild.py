@@ -17,14 +17,13 @@ and `label_components` labels a whole stage's networks in one pass.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from .errors import ParseIntegrityError
-from .textpipe import filter_content, read_tsv
+from .affect import negation_marked_lemmas
+from .textpipe import filter_content, read_tsv, tree_neighbourhoods
 
 BUILDER_TAGS = (
     "coocc_WS2",
@@ -41,30 +40,23 @@ CONTENT_UPOS = frozenset({"NOUN", "PROPN", "VERB", "ADJ", "ADV"})
 VALENCES = ("positive", "negative", "neutral")
 
 
-def _edge(a, b):
-    return (a, b) if a < b else (b, a)
-
-
 @dataclass(frozen=True, eq=False)
 class GraphIndex:
     """Sorted-node CSR form of a network, read by metrics, PageRank and activation.
 
-    Node `i` is the i-th lemma in sorted order and row `i` of `indptr` /
-    `indices` lists its neighbours in ascending order, so sums over
-    neighbours accumulate in a fixed order.  `component` numbers the
-    connected components largest first, ties broken by smallest member:
-    label 0 is the largest connected component (LCC).
+    Node `i` is the i-th lemma in sorted order.  `rows` and `indices` list
+    every (node, neighbour) entry in CSR order, each node's neighbours in
+    ascending order, so sums over neighbours accumulate in a fixed order.
+    `component` numbers the connected components largest first, ties
+    broken by smallest member: label 0 is the largest connected component
+    (LCC).
     """
 
     nodes: tuple[str, ...]
     position: dict[str, int]
-    indptr: np.ndarray
+    rows: np.ndarray
     indices: np.ndarray
     degree: np.ndarray
-
-    @cached_property
-    def _rows(self):
-        return np.repeat(np.arange(len(self.nodes)), self.degree)
 
     @cached_property
     def component(self):
@@ -80,7 +72,7 @@ class GraphIndex:
 
     def dense_adjacency(self):
         adj = np.zeros((len(self.nodes),) * 2, dtype=np.float32)
-        adj[self._rows, self.indices] = 1.0
+        adj[self.rows, self.indices] = 1.0
         return adj
 
     @cached_property
@@ -125,15 +117,13 @@ class GraphBatch:
         """The disjoint union of `indexes`, one block each, in the given order."""
         sizes = np.array([len(index.nodes) for index in indexes], dtype=np.int64)
         starts = np.cumsum(sizes) - sizes
-        degree = np.concatenate([index.degree for index in indexes] + [_NO_NODES])
-        indices = np.concatenate([index.indices for index in indexes] + [_NO_NODES])
-        indices += np.repeat(starts, [index.indices.size for index in indexes])
+        offsets = np.repeat(starts, [index.indices.size for index in indexes])
         return cls(
             starts=starts,
             sizes=sizes,
-            rows=np.repeat(np.arange(degree.size), degree),
-            indices=indices,
-            degree=degree,
+            rows=np.concatenate([index.rows for index in indexes] + [_NO_NODES]) + offsets,
+            indices=np.concatenate([index.indices for index in indexes] + [_NO_NODES]) + offsets,
+            degree=np.concatenate([index.degree for index in indexes] + [_NO_NODES]),
         )
 
     @property
@@ -203,8 +193,11 @@ def label_components(indexes):
 class LexicalNetwork:
     """Simple undirected graph over lemma labels.
 
-    Edges are canonical sorted pairs; `valence` holds per-node labels once
-    `annotate_valence` has run (nodes absent from it count as neutral).
+    Built from any node iterable and any (a, b) pairs: `nodes` becomes a
+    frozenset and `edges` the frozenset of each pair's sorted form, so a
+    pair given reversed or repeated is one edge.  `valence` holds per-node
+    labels once `annotate_valence` has run (nodes absent from it count as
+    neutral).
     """
 
     nodes: frozenset[str]
@@ -213,13 +206,16 @@ class LexicalNetwork:
     valence: dict[str, str] = field(default_factory=dict)
 
     def __post_init__(self):
+        nodes = frozenset(self.nodes)
+        edges = set()
         for a, b in self.edges:
             if a == b:
                 raise ValueError(f"self-loop on {a!r}")
-            if a > b:
-                raise ValueError(f"edge {(a, b)!r} not in canonical order")
-            if a not in self.nodes or b not in self.nodes:
+            if a not in nodes or b not in nodes:
                 raise ValueError(f"edge {(a, b)!r} has an endpoint outside the node set")
+            edges.add((a, b) if a < b else (b, a))
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "edges", frozenset(edges))
         for node, val in self.valence.items():
             if val not in VALENCES:
                 raise ValueError(f"bad valence {val!r} for node {node!r}")
@@ -241,9 +237,9 @@ class LexicalNetwork:
             [(position[a], position[b]) for a, b in self.edges], dtype=np.int64
         ).reshape(-1, 2)
         src, dst = np.concatenate([pairs, pairs[:, ::-1]]).T
+        order = np.lexsort((dst, src))
         degree = np.bincount(src, minlength=len(nodes))
-        indptr = np.concatenate([[0], np.cumsum(degree)])
-        return GraphIndex(nodes, position, indptr, dst[np.lexsort((dst, src))], degree)
+        return GraphIndex(nodes, position, src[order], dst[order], degree)
 
     def adjacency(self):
         adj = {node: set() for node in self.nodes}
@@ -254,16 +250,6 @@ class LexicalNetwork:
 
     def node_valence(self, node):
         return self.valence.get(node, "neutral")
-
-
-def make_network(nodes, edges, builder_tag="", valence=None):
-    canon = frozenset(_edge(a, b) for a, b in edges)
-    return LexicalNetwork(
-        nodes=frozenset(nodes),
-        edges=canon,
-        builder_tag=builder_tag,
-        valence=dict(valence or {}),
-    )
 
 
 @dataclass(frozen=True)
@@ -315,54 +301,8 @@ def build_cooccurrence(sentences, window_size, keep_pronouns, builder_tag=None):
         for i in range(len(lemmas)):
             for j in range(i + 1, min(i + window_size, len(lemmas))):
                 if lemmas[i] != lemmas[j]:
-                    edges.add(_edge(lemmas[i], lemmas[j]))
-    return make_network(nodes, edges, builder_tag)
-
-
-def _tree_adjacency(sentence):
-    """Undirected adjacency of the dependency tree over all tokens.
-
-    Raises ParseIntegrityError on cyclic head chains.  Multiple roots are
-    tolerated (forest): cross-tree distances are infinite.
-    """
-    n = len(sentence)
-    adj = [[] for _ in range(n)]
-    for tok in sentence:
-        head = tok.head_index
-        if head is None:
-            continue
-        if not 0 <= head < n:
-            raise ParseIntegrityError(
-                f"token {tok.token_index} points at head {head} outside the sentence"
-            )
-        adj[tok.token_index].append(head)
-        adj[head].append(tok.token_index)
-    for start in range(n):
-        seen = set()
-        cur = start
-        while sentence[cur].head_index is not None:
-            if cur in seen:
-                raise ParseIntegrityError(
-                    f"cyclic head structure through token {cur}"
-                )
-            seen.add(cur)
-            cur = sentence[cur].head_index
-    return adj
-
-
-def _tree_distances_within(adj, source, radius):
-    """BFS distances up to `radius` steps from `source` over the tree."""
-    dist = {source: 0}
-    queue = deque([source])
-    while queue:
-        cur = queue.popleft()
-        if dist[cur] == radius:
-            continue
-        for nxt in adj[cur]:
-            if nxt not in dist:
-                dist[nxt] = dist[cur] + 1
-                queue.append(nxt)
-    return dist
+                    edges.add((lemmas[i], lemmas[j]))
+    return LexicalNetwork(nodes, edges, builder_tag)
 
 
 def is_tfmn_node(token):
@@ -383,21 +323,16 @@ def build_dependency_network(sentences, radius=3, builder_tag="TFMN"):
     nodes = set()
     edges = set()
     for sent in sentences:
-        adj = _tree_adjacency(sent)
         node_positions = [t.token_index for t in sent if is_tfmn_node(t)]
-        node_set = set(node_positions)
-        for tok in sent:
-            if tok.token_index in node_set:
-                nodes.add(tok.lemma)
-        for pos in node_positions:
-            dist = _tree_distances_within(adj, pos, radius)
-            for other, d in dist.items():
-                if other in node_set and other != pos and d <= radius:
-                    a = sent[pos].lemma
-                    b = sent[other].lemma
-                    if a != b:
-                        edges.add(_edge(a, b))
-    return make_network(nodes, edges, builder_tag)
+        lemmas = {pos: sent[pos].lemma for pos in node_positions}
+        nodes.update(lemmas.values())
+        for pos, near in zip(node_positions, tree_neighbourhoods(sent, node_positions, radius)):
+            edges.update(
+                (lemmas[pos], lemmas[other])
+                for other in near
+                if other in lemmas and lemmas[other] != lemmas[pos]
+            )
+    return LexicalNetwork(nodes, edges, builder_tag)
 
 
 def annotate_valence(net, lexicon, occurrences=()):
@@ -439,11 +374,8 @@ def annotate_valence(net, lexicon, occurrences=()):
 
 def add_semantic_edges(net, relations):
     """Overlay relation-file edges whose both lemmas already are nodes."""
-    edges = set(net.edges)
-    for a, b, _kind in relations.triples:
-        if a in net.nodes and b in net.nodes:
-            edges.add(_edge(a, b))
-    return LexicalNetwork(net.nodes, frozenset(edges), net.builder_tag, dict(net.valence))
+    added = {(a, b) for a, b, _kind in relations.triples if a in net.nodes and b in net.nodes}
+    return LexicalNetwork(net.nodes, net.edges | added, net.builder_tag, dict(net.valence))
 
 
 def build_all_variants(story, radius=3, relations=None, lexicon=None):
@@ -461,8 +393,6 @@ def build_all_variants(story, radius=3, relations=None, lexicon=None):
     if relations is not None:
         tfmn = add_semantic_edges(tfmn, relations)
     if lexicon is not None:
-        from .affect import negation_marked_lemmas
-
         tfmn = annotate_valence(tfmn, lexicon, negation_marked_lemmas(story.sentences))
     nets["TFMN"] = tfmn
     return nets

@@ -93,6 +93,26 @@ class Token:
             raise ValueError(f"token {self.token_index} cannot be its own head")
 
 
+def tree_neighbourhoods(sentence, sources, radius):
+    """Per position in `sources`, the set of token positions within `radius`
+    hops of it on the sentence's dependency tree, itself included.
+
+    Paths run over all tokens; the trees of a forest (several roots) never
+    meet.  The heads must keep `Story.check_parse`'s rule.
+    """
+    adj = [[] for _ in sentence]
+    for tok in sentence:
+        if tok.head_index is not None:
+            adj[tok.token_index].append(tok.head_index)
+            adj[tok.head_index].append(tok.token_index)
+    for source in sources:
+        near = frontier = {source}
+        for _ in range(radius):
+            frontier = {other for cur in frontier for other in adj[cur]} - near
+            near = near | frontier
+        yield near
+
+
 @dataclass(frozen=True)
 class PromptMatch:
     prompt_lemma: str
@@ -132,6 +152,8 @@ class Story:
                 raise ValueError(f"rating {value!r} by {rater!r} outside [1, 5]")
         if any(len(sent) == 0 for sent in self.sentences):
             raise ValueError("empty sentences must be discarded before Story construction")
+        for sent in self.sentences:
+            self.check_parse(sent)
         if not self.ratings:
             raise ValueError("a story needs at least one rating")
         true_mean = sum(self.ratings.values()) / len(self.ratings)
@@ -141,6 +163,29 @@ class Story:
             raise ValueError(
                 f"mean_rating {self.mean_rating} does not match the ratings mean {true_mean}"
             )
+
+    @staticmethod
+    def check_parse(sentence):
+        """The parse-tree rule: every HEAD lies inside the sentence and no head
+        chain returns to a token it has passed, so the heads form a forest.
+        A sentence that breaks it is a ValueError naming its 1-based tokens."""
+        heads = [tok.head_index for tok in sentence]
+        where = f"sentence {sentence[0].sentence_index + 1}"
+        for pos, head in enumerate(heads):
+            if head is not None and not 0 <= head < len(heads):
+                raise ValueError(f"{where}: the head of token {pos + 1} lies outside it")
+        rooted = set()
+        for start in range(len(heads)):
+            chain, cur = [], start
+            while cur is not None and cur not in rooted:
+                if cur in chain:
+                    raise ValueError(
+                        f"{where}: the head chain from token {start + 1} returns to "
+                        f"token {cur + 1}"
+                    )
+                chain.append(cur)
+                cur = heads[cur]
+            rooted.update(chain)
 
     def all_tokens(self):
         for sent in self.sentences:
@@ -368,6 +413,8 @@ def _build_sentence(rows, sentence_index, stoplist, pronouns, source):
                 is_stop=surface.lower() in stoplist or lemma in stoplist,
                 is_pronoun=lemma in pronouns,
             ))
+        lineno = rows[0][0]  # a head cycle is the fault of the whole block
+        Story.check_parse(tokens)
     except ValueError as exc:
         raise InputFormatError(f"{source}: line {lineno}: {exc}") from None
     return tuple(tokens)
@@ -465,10 +512,11 @@ def read_stories_csv(path, lemma_table, stoplist, pronouns, conllu_sentences=Non
     """Build Story objects from the corpus CSV.
 
     Expected columns: id, prompt1..prompt3, text, then one column per
-    rater.  When `conllu_sentences` supplies a parse for a story id, the
-    parsed sentences replace the plain-text tokenisation.  A row with the
-    wrong number of cells, a repeated id, a rating that is not an integer,
-    or values `Story` refuses is an InputFormatError naming its row.
+    rater, each header non-empty and unique.  When `conllu_sentences`
+    supplies a parse for a story id, the parsed sentences replace the
+    plain-text tokenisation.  A row with the wrong number of cells, a
+    repeated id, a rating that is not an integer, or values `Story` refuses
+    is an InputFormatError naming its row.
     """
     stories = []
     with open(path, encoding="utf-8", newline="") as fh:
@@ -481,6 +529,10 @@ def read_stories_csv(path, lemma_table, stoplist, pronouns, conllu_sentences=Non
                 f"{path}: need id, 3 prompt columns, text and at least one rater column"
             )
         rater_ids = [h.strip() for h in header[5:]]
+        if "" in rater_ids or len(set(rater_ids)) < len(rater_ids):
+            raise InputFormatError(
+                f"{path}: row 1: rater headers must be non-empty and unique, got {rater_ids}"
+            )
         seen_ids = set()
         for rowno, row in enumerate(reader, start=2):
             if not any(cell.strip() for cell in row):

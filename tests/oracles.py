@@ -42,7 +42,7 @@ from storynets.activation import (
 )
 from storynets.errors import ConvergenceError
 from storynets.mlharness.trees import TreeArrays
-from storynets.netbuild import LexicalNetwork, make_network
+from storynets.netbuild import LexicalNetwork
 from storynets.stats import TestResult, _average_ranks, _check_alternative
 from storynets.textpipe import match_prompts
 
@@ -91,7 +91,7 @@ def parse_graphml(text):
             valence[nid] = data.text
     for edge in graph.findall("g:edge", ns):
         edges.add((edge.attrib["source"], edge.attrib["target"]))
-    return make_network(nodes, edges, valence=valence)
+    return LexicalNetwork(nodes, edges, valence=valence)
 
 
 def induced_subgraph(net, keep):

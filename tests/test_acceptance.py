@@ -49,7 +49,7 @@ def random_graph(n, p, seed):
         for j in range(i + 1, n)
         if rng.random() < p
     ]
-    return netbuild.make_network(labels, edges)
+    return netbuild.LexicalNetwork(labels, edges)
 
 
 def test_criterion_1_cooccurrence_fidelity():
@@ -150,7 +150,7 @@ def test_criterion_5_isolated_seed_rule():
             sentences=(sent + (make_sentence(["ghost"], 1)[0],),),
             ratings={"r": 3},
         )
-        net = netbuild.make_network(
+        net = netbuild.LexicalNetwork(
             {"storm", "violin", "memory", "anchor"},
             [("storm", "violin"), ("memory", "anchor")],
             "coocc_WS2",
@@ -161,7 +161,7 @@ def test_criterion_5_isolated_seed_rule():
         assert not ghost.seed_in_network
         assert ghost.stationary_alpha == net.n_nodes  # alpha = N
         # degree-0 seed inside the graph obeys the same limit
-        with_isolate = netbuild.make_network(
+        with_isolate = netbuild.LexicalNetwork(
             set(net.nodes) | {"lone"}, net.edges, "coocc_WS2"
         )
         trace = activation.run_to_stationarity(with_isolate, "lone")

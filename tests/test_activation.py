@@ -14,7 +14,7 @@ from storynets.activation import (
     run_to_stationarity,
     stationary_oracle,
 )
-from storynets.netbuild import build_all_variants, make_network
+from storynets.netbuild import LexicalNetwork, build_all_variants
 from storynets.textpipe import Story
 
 from conftest import make_sentence
@@ -28,13 +28,13 @@ from oracles import (
 
 
 def path_graph(*labels):
-    return make_network(labels, list(zip(labels, labels[1:])))
+    return LexicalNetwork(labels, list(zip(labels, labels[1:])))
 
 
 def complete_graph(*labels):
     import itertools
 
-    return make_network(labels, list(itertools.combinations(labels, 2)))
+    return LexicalNetwork(labels, list(itertools.combinations(labels, 2)))
 
 
 def random_graph(n, p, seed):
@@ -46,7 +46,7 @@ def random_graph(n, p, seed):
         for j in range(i + 1, n)
         if rng.random() < p
     ]
-    return make_network(labels, edges)
+    return LexicalNetwork(labels, edges)
 
 
 class TestInit:
@@ -57,17 +57,17 @@ class TestInit:
         assert state.step == 0
 
     def test_single_node(self):
-        state = init_activation(make_network({"a"}, []), "a")
+        state = init_activation(LexicalNetwork({"a"}, []), "a")
         assert state.values == {"a": 1.0}
 
     def test_missing_seed_signals(self):
         with pytest.raises(MissingSeedError):
-            init_activation(make_network({"a"}, []), "z")
+            init_activation(LexicalNetwork({"a"}, []), "z")
 
 
 class TestStep:
     def test_two_node_half_retention(self):
-        net = make_network({"a", "b"}, [("a", "b")])
+        net = LexicalNetwork({"a", "b"}, [("a", "b")])
         state = init_activation(net, "a")
         # start a=2, b=0; a keeps 1, sends 1
         after = step(state, net, 0.5)
@@ -75,7 +75,7 @@ class TestStep:
         assert after.step == 1
 
     def test_isolated_node_retains_everything(self):
-        net = make_network({"a", "b", "c"}, [("b", "c")])
+        net = LexicalNetwork({"a", "b", "c"}, [("b", "c")])
         state = init_activation(net, "a")
         for r in (0.2, 0.5, 0.8):
             after = step(state, net, r)
@@ -88,7 +88,7 @@ class TestStep:
         assert after.values == pytest.approx({"a": 1.0, "b": 1.0, "c": 1.0})
 
     def test_retention_bounds(self):
-        net = make_network({"a"}, [])
+        net = LexicalNetwork({"a"}, [])
         state = init_activation(net, "a")
         for bad in (0.0, 1.0, -0.1, 1.5):
             with pytest.raises(ValueError):
@@ -112,13 +112,13 @@ class TestStationarity:
     def test_mass_stays_in_seed_component(self):
         labels = [f"n{i}" for i in range(10)]
         edges = [("n0", "n1")] + [(labels[i], labels[i + 1]) for i in range(2, 9)]
-        net = make_network(labels, edges)
+        net = LexicalNetwork(labels, edges)
         assert stationary_oracle(net, "n0") == pytest.approx(5.0)
         trace = run_to_stationarity(net, "n0")
         assert trace.stationary_alpha == pytest.approx(5.0, abs=1e-6)
 
     def test_degree_zero_seed_keeps_all(self):
-        net = make_network({"a", "b", "c"}, [("b", "c")])
+        net = LexicalNetwork({"a", "b", "c"}, [("b", "c")])
         trace = run_to_stationarity(net, "a")
         assert trace.stationary_alpha == pytest.approx(3.0)
         assert stationary_oracle(net, "a") == 3.0
@@ -180,7 +180,7 @@ class TestPromptAlphas:
         nets = {"coocc_WS2": build_all_variants(demo_story)["coocc_WS2"]}
         # drop the "exist" node to force the isolated-seed rule
         net = nets["coocc_WS2"]
-        pruned = make_network(
+        pruned = LexicalNetwork(
             net.nodes - {"exist"},
             [e for e in net.edges if "exist" not in e],
             net.builder_tag,
@@ -208,13 +208,13 @@ def _batch_nets():
     nets = {
         # small dense graphs and stars stop early; long paths run all 100 steps
         "complete": complete_graph("alpha", "beta", "c", "d"),
-        "star": make_network(
+        "star": LexicalNetwork(
             {"alpha", "beta", "c", "d", "e"}, [("alpha", x) for x in ("beta", "c", "d", "e")]
         ),
         "path": path_graph("alpha", *long_path, "beta"),
         "absent": path_graph("beta", "x", "y", "z"),
-        "degree_zero": make_network({"alpha", "beta", "c", "d"}, [("beta", "c"), ("c", "d")]),
-        "outside_lcc": make_network(
+        "degree_zero": LexicalNetwork({"alpha", "beta", "c", "d"}, [("beta", "c"), ("c", "d")]),
+        "outside_lcc": LexicalNetwork(
             {"alpha", "e", "beta", *long_path[:6]},
             [("alpha", "e"), ("beta", "p00")] + list(zip(long_path[:5], long_path[1:6])),
         ),
@@ -223,7 +223,7 @@ def _batch_nets():
         net = random_graph(14, 0.25, 40 + i)
         labels = sorted(net.nodes)
         rename = {labels[0]: "alpha", labels[1]: "beta"}
-        nets[f"random{i}"] = make_network(
+        nets[f"random{i}"] = LexicalNetwork(
             [rename.get(n, n) for n in net.nodes],
             [(rename.get(a, a), rename.get(b, b)) for a, b in net.edges],
         )

@@ -38,6 +38,22 @@ def chain_parse_block(story_id, words):
     return "\n".join(lines) + "\n"
 
 
+def head_cycle(line):
+    """A `corpus.jsonl` line whose first sentence's first two tokens head each other."""
+    record = json.loads(line)
+    first = record["sentences"][0]
+    first[0]["head"], first[1]["head"] = 1, 0
+    return json.dumps(record)
+
+
+def nan_density(lines):
+    """Line 4 of `features.csv` with its density cell set to nan."""
+    header = lines[0].split(",")
+    cells = lines[3].split(",")
+    cells[header.index("density")] = "nan"
+    return ",".join(cells)
+
+
 def synth_story(story_id, prompts, rng, drop_prompt=False):
     sentences = []
     for s, prompt in enumerate(prompts):
@@ -217,21 +233,31 @@ class TestPipeline:
             manifest = json.loads(manifest_path.read_text())
             assert manifest["config_hash"] == expected
 
-    @pytest.mark.parametrize("stage", ["evaluate", "compare-builders"])
-    def test_non_finite_feature_is_bad_input(self, pipeline, tmp_path, capsys, stage):
+    @pytest.mark.parametrize(
+        "stage, name, damage",
+        [
+            ("evaluate", "features.csv", nan_density),
+            ("compare-builders", "features.csv", nan_density),
+            ("evaluate", "features.csv", lambda lines: lines[2]),
+            ("compare-builders", "features.csv", lambda lines: lines[2]),
+            ("evaluate", "emotions.csv", lambda lines: lines[2]),
+        ],
+        ids=["evaluate", "compare-builders", "repeated-row-at-evaluate",
+             "repeated-row-at-compare-builders", "repeated-emotions-row"],
+    )
+    def test_non_finite_feature_is_bad_input(
+        self, pipeline, tmp_path, capsys, stage, name, damage
+    ):
         source, config = pipeline
         out = tmp_path / "out"
         shutil.copytree(source / "out", out)
-        lines = (out / "features.csv").read_text(encoding="utf-8").splitlines()
-        header = lines[0].split(",")
-        cells = lines[3].split(",")
-        cells[header.index("density")] = "nan"
-        lines[3] = ",".join(cells)
-        (out / "features.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        lines = (out / name).read_text(encoding="utf-8").splitlines()
+        lines[3] = damage(lines)
+        (out / name).write_text("\n".join(lines) + "\n", encoding="utf-8")
         before = {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()}
         assert main([stage, "--config", str(config), "--out-dir", str(out)]) == 2
         err = capsys.readouterr().err
-        assert "error:" in err and "features.csv, line 4" in err
+        assert "error:" in err and f"{name}, line 4" in err
         assert {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()} == before
 
     def test_folds_above_smallest_table_is_bad_input(self, pipeline, tmp_path, capsys):
@@ -256,9 +282,14 @@ class TestPipeline:
                 {**json.loads(lines[2]), "ratings": []})),
             ("build", "corpus.jsonl", lambda lines: json.dumps(
                 {**json.loads(lines[2]), "id": "../../escaped"})),
+            ("build", "corpus.jsonl", lambda lines: head_cycle(lines[2])),
+            ("emotions", "corpus.jsonl", lambda lines: head_cycle(lines[2])),
+            ("features", "networks.jsonl", lambda lines: lines[1]),
+            ("spread", "corpus.jsonl", lambda lines: lines[1]),
         ],
         ids=["truncated-line", "no-sentences", "edge-outside-nodes", "ratings-not-a-mapping",
-             "unsafe-story-id"],
+             "unsafe-story-id", "head-cycle-at-build", "head-cycle-at-emotions",
+             "repeated-network", "repeated-story"],
     )
     def test_malformed_upstream_json_is_bad_input(
         self, pipeline, tmp_path, capsys, stage, name, damage
@@ -273,6 +304,20 @@ class TestPipeline:
         err = capsys.readouterr().err
         assert f"error: {out / name}, line 3:" in err
         assert "Traceback" not in err
+
+    def test_reversed_edges_read_as_the_same_network(self, pipeline, tmp_path):
+        source, config = pipeline
+        out = tmp_path / "out"
+        shutil.copytree(source / "out", out)
+        lines = (out / "networks.jsonl").read_text(encoding="utf-8").splitlines()
+        record = json.loads(lines[2])
+        assert record["edges"]
+        record["edges"] = [[b, a] for a, b in reversed(record["edges"])] + record["edges"][:1]
+        lines[2] = json.dumps(record)
+        (out / "networks.jsonl").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert main(["features", "--config", str(config), "--out-dir", str(out)]) == 0
+        features = (out / "features.csv").read_bytes()
+        assert features == (source / "out" / "features.csv").read_bytes()
 
     def test_malformed_results_json_is_bad_input(self, pipeline, tmp_path, capsys):
         source, config = pipeline
@@ -671,6 +716,38 @@ class TestExitCodes:
         err = capsys.readouterr().err
         where = f"{conllu}: line 3:" if cell else f"{stories_csv}: row 2:"
         assert f"error: {where}" in err
+        assert "Traceback" not in err
+        assert list(out.iterdir()) == []
+
+    def test_cyclic_conllu_parse_is_bad_input(self, tmp_path, capsys):
+        stories_csv = tmp_path / "stories.csv"
+        stories_csv.write_text("id,prompt1,prompt2,prompt3,text,R\n"
+                               "p1,cat,dog,sun,Cat dog sun walk.,3\n", encoding="utf-8")
+        lines = chain_parse_block("p1", ["Cat", "dog", "sun", "walk"]).splitlines()
+        cells = lines[2].split("\t")  # "dog", token 2, whose HEAD is 3: now 1, whose HEAD is 2
+        cells[6] = "1"
+        lines[2] = "\t".join(cells)
+        conllu = tmp_path / "stories.conllu"
+        conllu.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        out = tmp_path / "out"
+        argv = ["preprocess", "--stories-csv", str(stories_csv), "--conllu", str(conllu),
+                "--out-dir", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert (f"error: {conllu}: line 2: sentence 1: the head chain from token 1 returns "
+                "to token 1") in err
+        assert "Traceback" not in err
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("raters", ["R,R", "R,"], ids=["repeated", "empty"])
+    def test_bad_rater_header_is_bad_input(self, tmp_path, capsys, raters):
+        stories_csv = tmp_path / "stories.csv"
+        stories_csv.write_text(f"id,prompt1,prompt2,prompt3,text,{raters}\n"
+                               "p1,cat,dog,sun,Cat dog sun walk.,1,5\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["preprocess", "--stories-csv", str(stories_csv), "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {stories_csv}: row 1: rater headers" in err
         assert "Traceback" not in err
         assert list(out.iterdir()) == []
 

@@ -38,6 +38,17 @@ class TestMakeFolds:
         sizes = [len(f) for f in folds]
         assert max(sizes) - min(sizes) <= 1
 
+    def test_cuts_the_permutation_as_the_running_offset_loop_did(self):
+        for n in range(4, 40):
+            for k in range(2, min(n, 9) + 1):
+                order = np.random.default_rng(n * k).permutation(n)
+                sizes = [n // k + (i < n % k) for i in range(k)]
+                expected = np.split(order, np.cumsum(sizes)[:-1])
+                folds = make_folds(n, k, n * k)
+                assert len(folds) == k
+                assert all(np.array_equal(f, e) and f.dtype == e.dtype
+                           for f, e in zip(folds, expected))
+
     def test_fewer_rows_than_folds(self):
         with pytest.raises(ValueError):
             make_folds(3, 4, 0)

@@ -23,7 +23,7 @@ from storynets.graphmetrics import (
     pagerank_centralisations,
     structural_features,
 )
-from storynets.netbuild import build_all_variants, build_cooccurrence, make_network
+from storynets.netbuild import LexicalNetwork, build_all_variants, build_cooccurrence
 
 from conftest import make_sentence
 from oracles import (
@@ -35,20 +35,20 @@ from test_netbuild import small_graphs
 
 
 def path_graph(*labels):
-    return make_network(labels, list(zip(labels, labels[1:])))
+    return LexicalNetwork(labels, list(zip(labels, labels[1:])))
 
 
 def complete_graph(*labels):
-    return make_network(labels, list(itertools.combinations(labels, 2)))
+    return LexicalNetwork(labels, list(itertools.combinations(labels, 2)))
 
 
 def star_graph(hub, leaves):
-    return make_network([hub, *leaves], [(hub, leaf) for leaf in leaves])
+    return LexicalNetwork([hub, *leaves], [(hub, leaf) for leaf in leaves])
 
 
 def cycle_graph(*labels):
     edges = list(zip(labels, labels[1:])) + [(labels[-1], labels[0])]
-    return make_network(labels, edges)
+    return LexicalNetwork(labels, edges)
 
 
 def random_graph(n, p, seed):
@@ -60,7 +60,7 @@ def random_graph(n, p, seed):
         for j in range(i + 1, n)
         if rng.random() < p
     ]
-    return make_network(labels, edges)
+    return LexicalNetwork(labels, edges)
 
 
 # -- independent oracles ------------------------------------------------------
@@ -141,7 +141,7 @@ class TestDensity:
         assert density(path_graph("a", "b", "c")) == pytest.approx(2 * 2 / (3 * 2))
 
     def test_single_node(self):
-        assert density(make_network({"a"}, [])) == 0.0
+        assert density(LexicalNetwork({"a"}, [])) == 0.0
 
 
 class TestClustering:
@@ -152,7 +152,7 @@ class TestClustering:
         assert avg_local_clustering(path_graph("a", "b", "c")) == 0.0
 
     def test_k4_minus_edge(self):
-        net = make_network(
+        net = LexicalNetwork(
             "abcd", [("a", "b"), ("a", "c"), ("a", "d"), ("b", "c"), ("b", "d")]
         )
         assert avg_local_clustering(net) == pytest.approx(5 / 6)
@@ -166,7 +166,7 @@ class TestPaths:
         assert aspl_lcc(complete_graph(*"abcde")) == pytest.approx(1.0)
 
     def test_aspl_on_lcc_only(self):
-        net = make_network("abcd", [("a", "b"), ("c", "d")])
+        net = LexicalNetwork("abcd", [("a", "b"), ("c", "d")])
         assert aspl_lcc(net) == pytest.approx(1.0)
 
     def test_diameter_path_five(self):
@@ -176,16 +176,16 @@ class TestPaths:
         assert diameter_lcc(star_graph("h", "abc")) == 2
 
     def test_degenerate_zero(self):
-        assert aspl_lcc(make_network({"a"}, [])) == 0.0
-        assert diameter_lcc(make_network(set(), [])) == 0
+        assert aspl_lcc(LexicalNetwork({"a"}, [])) == 0.0
+        assert diameter_lcc(LexicalNetwork(set(), [])) == 0
 
 
 class TestComponents:
     def test_empty(self):
-        assert components(make_network(set(), [])) == []
+        assert components(LexicalNetwork(set(), [])) == []
 
     def test_two_disjoint_edges(self):
-        comps = components(make_network("abcd", [("a", "b"), ("c", "d")]))
+        comps = components(LexicalNetwork("abcd", [("a", "b"), ("c", "d")]))
         assert [len(c) for c in comps] == [2, 2]
         assert comps[0] == {"a", "b"}  # tie broken by smallest lemma
 
@@ -202,7 +202,7 @@ class TestPagerank:
         assert all(r == pytest.approx(1 / 6, abs=1e-9) for r in ranks.values())
 
     def test_single_node(self):
-        assert pagerank(make_network({"a"}, [])) == {"a": 1.0}
+        assert pagerank(LexicalNetwork({"a"}, [])) == {"a": 1.0}
 
     def test_star_matches_dense_oracle(self):
         net = star_graph("h", ["a", "b", "c"])
@@ -228,7 +228,7 @@ class TestPagerank:
         assert pagerank_centralisation(cycle_graph(*"abcde")) == pytest.approx(0.0, abs=1e-9)
 
     def test_centralisation_empty_zero(self):
-        assert pagerank_centralisation(make_network(set(), [])) == 0.0
+        assert pagerank_centralisation(LexicalNetwork(set(), [])) == 0.0
 
     def test_centralisation_star_from_oracle(self):
         net = star_graph("h", ["a", "b", "c"])
@@ -241,9 +241,9 @@ BATCH_CASES = {
     "path": path_graph(*"abcdefg"),
     "star": star_graph("hub", list("abcdefghij")),
     "k2": complete_graph("a", "b"),
-    "single": make_network({"a"}, []),
-    "empty": make_network(set(), []),
-    "components_and_isolates": make_network(
+    "single": LexicalNetwork({"a"}, []),
+    "empty": LexicalNetwork(set(), []),
+    "components_and_isolates": LexicalNetwork(
         "abcdefghijk", [("a", "b"), ("b", "c"), ("c", "a"), ("c", "d"), ("e", "f"), ("g", "h")]
     ),
 }
@@ -339,7 +339,7 @@ class TestResidualGuard:
 
 class TestStructuralFeatures:
     def test_empty_graph_all_zero(self):
-        f = structural_features(make_network(set(), []))
+        f = structural_features(LexicalNetwork(set(), []))
         assert (
             f.n_nodes,
             f.n_edges,
@@ -363,7 +363,7 @@ class TestStructuralFeatures:
         assert f.n_components == 1
 
     def test_components_zero_iff_no_nodes(self):
-        assert structural_features(make_network({"a"}, [])).n_components == 1
+        assert structural_features(LexicalNetwork({"a"}, [])).n_components == 1
 
 
 class TestOracleAgreement:
@@ -401,7 +401,7 @@ class TestOracleAgreement:
                 continue
             extra = missing[rng.integers(0, len(missing))]
             before = aspl_lcc(net)
-            bigger = make_network(net.nodes, set(net.edges) | {extra})
+            bigger = LexicalNetwork(net.nodes, set(net.edges) | {extra})
             assert components(bigger)[0] == lcc
             assert aspl_lcc(bigger) <= before + 1e-12
 
@@ -409,7 +409,7 @@ class TestOracleAgreement:
 _FEATURES_SCRIPT = """
 import numpy as np
 from storynets.graphmetrics import structural_features
-from storynets.netbuild import make_network
+from storynets.netbuild import LexicalNetwork
 
 rng = np.random.default_rng(17)
 letters = list("abcdefghijklmnop")
@@ -422,7 +422,7 @@ for _ in range(40):
         for b in labels[i + 1 :]
         if rng.random() < 0.2
     ]
-    print(repr(structural_features(make_network(labels, edges))))
+    print(repr(structural_features(LexicalNetwork(labels, edges))))
 """
 
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from storynets import netbuild
-from storynets.errors import InputFormatError, ParseIntegrityError
+from storynets.errors import InputFormatError
 from storynets.netbuild import (
     BUILDER_TAGS,
     GraphBatch,
@@ -19,7 +19,6 @@ from storynets.netbuild import (
     build_cooccurrence,
     build_dependency_network,
     label_components,
-    make_network,
 )
 
 from conftest import make_sentence, make_token
@@ -183,14 +182,6 @@ class TestDependencyNetwork:
         net = build_dependency_network([sent])
         assert net.edges == frozenset({("i", "run")})
 
-    def test_cyclic_heads_rejected(self):
-        sent = (
-            make_token("a", 0, upos="NOUN", head=1),
-            make_token("b", 1, upos="NOUN", head=0),
-        )
-        with pytest.raises(ParseIntegrityError):
-            build_dependency_network([sent])
-
     def test_radius_below_one_rejected(self):
         with pytest.raises(ValueError):
             build_dependency_network([], radius=0)
@@ -218,22 +209,22 @@ class TestDependencyNetwork:
 
 class TestValence:
     def test_lexicon_positive_unnegated(self, demo_lexicon):
-        net = make_network({"happy"}, [])
+        net = LexicalNetwork({"happy"}, [])
         out = annotate_valence(net, demo_lexicon, [("happy", False)])
         assert out.node_valence("happy") == "positive"
 
     def test_negated_negative_flips_to_positive(self, demo_lexicon):
-        net = make_network({"angry"}, [])
+        net = LexicalNetwork({"angry"}, [])
         out = annotate_valence(net, demo_lexicon, [("angry", True)])
         assert out.node_valence("angry") == "positive"
 
     def test_absent_from_lexicon_is_neutral(self, demo_lexicon):
-        net = make_network({"table"}, [])
+        net = LexicalNetwork({"table"}, [])
         out = annotate_valence(net, demo_lexicon, [("table", False)])
         assert out.node_valence("table") == "neutral"
 
     def test_majority_and_tie(self, demo_lexicon):
-        net = make_network({"happy"}, [])
+        net = LexicalNetwork({"happy"}, [])
         majority = annotate_valence(
             net, demo_lexicon, [("happy", False), ("happy", False), ("happy", True)]
         )
@@ -242,24 +233,24 @@ class TestValence:
         assert tie.node_valence("happy") == "neutral"
 
     def test_node_missing_from_stream_uses_lexicon(self, demo_lexicon):
-        net = make_network({"grim"}, [])
+        net = LexicalNetwork({"grim"}, [])
         out = annotate_valence(net, demo_lexicon, [])
         assert out.node_valence("grim") == "negative"
 
 
 class TestSemanticEdges:
     def test_edge_added_when_both_nodes_present(self):
-        net = make_network({"dog", "canine"}, [])
+        net = LexicalNetwork({"dog", "canine"}, [])
         out = add_semantic_edges(net, RelationFile((("dog", "canine", "synonym"),)))
         assert out.edges == frozenset({("canine", "dog")})
 
     def test_absent_lemma_is_a_noop(self):
-        net = make_network({"dog"}, [])
+        net = LexicalNetwork({"dog"}, [])
         out = add_semantic_edges(net, RelationFile((("dog", "wolf", "hypernym"),)))
         assert out.edges == net.edges and out.nodes == net.nodes
 
     def test_duplicate_of_existing_edge_keeps_count(self):
-        net = make_network({"dog", "canine"}, [("dog", "canine")])
+        net = LexicalNetwork({"dog", "canine"}, [("dog", "canine")])
         out = add_semantic_edges(net, RelationFile((("canine", "dog", "synonym"),)))
         assert out.n_edges == 1
 
@@ -339,6 +330,18 @@ class TestNetworkInvariants:
         with pytest.raises(ValueError):
             LexicalNetwork(frozenset({"a"}), frozenset({("a", "b")}))
 
+    def test_reversed_and_repeated_pairs_are_one_sorted_edge(self):
+        pairs = [("b", "a"), ("a", "b"), ["b", "a"], ("c", "b")]
+        net = LexicalNetwork(["b", "a", "c", "a"], pairs)
+        assert net.nodes == frozenset("abc")
+        assert net.edges == frozenset({("a", "b"), ("b", "c")})
+        assert net.n_edges == 2
+        assert net.index.degree.tolist() == [1, 2, 1]
+
+    def test_bad_valence_rejected(self):
+        with pytest.raises(ValueError, match="bad valence"):
+            LexicalNetwork({"a"}, [], valence={"a": "happy"})
+
     def test_exports_roundtrip(self, demo_story, demo_lexicon):
         net = build_all_variants(demo_story, lexicon=demo_lexicon)["TFMN"]
         lines = list(netbuild.edge_rows(net))
@@ -354,14 +357,13 @@ class TestGraphIndex:
     def test_sorted_csr_degrees_and_component_order(self):
         # components {b, c} and {d, e} tie on size, so the one holding "b" comes
         # first after the three-node component; "a" is isolated
-        net = make_network(
+        net = LexicalNetwork(
             "abcdefgh", [("h", "f"), ("f", "g"), ("c", "b"), ("e", "d"), ("g", "h")]
         )
         index = net.index
         assert index.nodes == tuple("abcdefgh")
         assert index.position == {node: i for i, node in enumerate("abcdefgh")}
-        rows = [[index.nodes[j] for j in index.indices[index.indptr[i]:index.indptr[i + 1]]]
-                for i in range(8)]
+        rows = [[index.nodes[j] for j in index.indices[index.rows == i]] for i in range(8)]
         assert rows == [[], ["c"], ["b"], ["e"], ["d"], ["g", "h"], ["f", "h"], ["f", "g"]]
         assert index.degree.tolist() == [0, 1, 1, 1, 1, 2, 2, 2]
         assert index.component.tolist() == [3, 1, 1, 2, 2, 0, 0, 0]
@@ -370,7 +372,7 @@ class TestGraphIndex:
         assert net.index is index
 
     def test_empty_network(self):
-        index = make_network(set(), []).index
+        index = LexicalNetwork(set(), []).index
         assert index.nodes == () and index.n_components == 0
         assert index.lcc_path_lengths == (0, 0)
 
@@ -381,15 +383,15 @@ def small_graphs(draw):
     labels = [f"v{i:02d}" for i in range(draw(st.integers(0, 12)))]
     pairs = list(itertools.combinations(labels, 2))
     edges = draw(st.lists(st.sampled_from(pairs), max_size=24)) if pairs else []
-    return make_network(labels, edges)
+    return LexicalNetwork(labels, edges)
 
 
 class TestGraphBatch:
     def test_blocks_are_offset_copies_of_each_index(self):
         nets = [
-            make_network("abc", [("a", "b"), ("b", "c")]),
-            make_network(set(), []),
-            make_network("xyz", [("x", "z")]),
+            LexicalNetwork("abc", [("a", "b"), ("b", "c")]),
+            LexicalNetwork(set(), []),
+            LexicalNetwork("xyz", [("x", "z")]),
         ]
         batch = GraphBatch.of([net.index for net in nets])
         assert batch.starts.tolist() == [0, 3, 3]
@@ -401,7 +403,7 @@ class TestGraphBatch:
         assert batch.neighbour_sum(np.arange(6.0)).tolist() == [1.0, 2.0, 1.0, 5.0, 0.0, 3.0]
 
     def test_induced_keeps_whole_components_and_drops_empty_blocks(self):
-        nets = [make_network("abcd", [("a", "b"), ("c", "d")]), make_network("xy", [])]
+        nets = [LexicalNetwork("abcd", [("a", "b"), ("c", "d")]), LexicalNetwork("xy", [])]
         batch = GraphBatch.of([net.index for net in nets])
         sub = batch.induced(np.array([False, False, True, True, False, False]))
         assert (sub.starts.tolist(), sub.sizes.tolist()) == ([0], [2])
@@ -420,10 +422,10 @@ class TestGraphBatch:
         for net, start, size in zip(nets, batch.starts, batch.sizes):
             got = labels[start : start + size].tolist()
             assert got == component_labels_reference(net)
-            assert got == make_network(net.nodes, net.edges).index.component.tolist()
+            assert got == LexicalNetwork(net.nodes, net.edges).index.component.tolist()
 
     def test_label_components_fills_every_index_once(self):
-        nets = [make_network("abcd", [("c", "d")]), make_network("xy", [("x", "y")])]
+        nets = [LexicalNetwork("abcd", [("c", "d")]), LexicalNetwork("xy", [("x", "y")])]
         first = nets[0].index.component
         label_components([net.index for net in nets])
         assert nets[0].index.component is first  # already labelled: left alone

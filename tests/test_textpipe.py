@@ -19,7 +19,7 @@ from storynets.textpipe import (
     write_conllu,
 )
 
-from conftest import DEMO_STORY_TEXT, make_sentence
+from conftest import DEMO_STORY_TEXT, make_sentence, make_token
 
 
 class TestSegmentSentences:
@@ -237,6 +237,17 @@ class TestReadConllu:
         with pytest.raises(InputFormatError, match="HEAD"):
             read_conllu(data)
 
+    def test_head_cycle_names_the_block(self):
+        data = (
+            "# story_id = s\n"
+            "1\tcat\tcat\tNOUN\t_\t_\t0\troot\t_\t_\n"
+            "2\tdog\tdog\tNOUN\t_\t_\t3\tdep\t_\t_\n"
+            "3\tsun\tsun\tNOUN\t_\t_\t2\tdep\t_\t_\n"
+        )
+        message = "sentence 1: the head chain from token 2 returns to token 2"
+        with pytest.raises(InputFormatError, match=f"^parses.conllu: line 2: {message}"):
+            read_conllu(data, source="parses.conllu")
+
     def test_roundtrip_through_writer(self):
         parsed = read_conllu(TWO_STORY_CONLLU)
         again = read_conllu(write_conllu(parsed))
@@ -276,6 +287,44 @@ class TestStory:
     def test_json_roundtrip(self, demo_story):
         again = textpipe.story_from_json(textpipe.story_to_json(demo_story))
         assert again == demo_story
+
+    @pytest.mark.parametrize(
+        "heads, message",
+        [
+            ([1, 0, None], "the head chain from token 1 returns to token 1"),
+            ([None, 2, 3, 1], "the head chain from token 2 returns to token 2"),
+            ([None, 3, None], "the head of token 2 lies outside it"),
+            ([None, -1], "the head of token 2 lies outside it"),
+        ],
+        ids=["two-cycle", "three-cycle", "past-the-end", "negative"],
+    )
+    def test_heads_must_form_a_forest(self, heads, message):
+        sentences = (
+            make_sentence(["walk"]),
+            tuple(make_token(f"w{chr(97 + i)}", i, 1, head=h) for i, h in enumerate(heads)),
+        )
+        with pytest.raises(ValueError, match=f"^sentence 2: {message}$"):
+            Story("s", ("a", "b", "c"), "", sentences, {"r1": 3})
+
+    def test_forest_of_several_roots_is_accepted(self):
+        heads = [1, None, 1, None, 3, 4]
+        sentence = tuple(make_token(f"w{chr(97 + i)}", i, head=h) for i, h in enumerate(heads))
+        assert Story("s", ("a", "b", "c"), "", (sentence,), {"r1": 3}).sentences == (sentence,)
+
+
+class TestTreeNeighbourhoods:
+    # two trees: 0 <- 1 -> 2 -> 3, and 4 -> 5
+    SENTENCE = tuple(
+        make_token(f"w{chr(97 + i)}", i, head=h) for i, h in enumerate([1, None, 1, 2, 5, None])
+    )
+
+    def test_hops_over_all_tokens_within_each_tree(self):
+        near = list(textpipe.tree_neighbourhoods(self.SENTENCE, [0, 3, 4], 2))
+        assert near == [{0, 1, 2}, {1, 2, 3}, {4, 5}]
+
+    def test_radius_bounds_the_hops(self):
+        assert list(textpipe.tree_neighbourhoods(self.SENTENCE, [0], 1)) == [{0, 1}]
+        assert list(textpipe.tree_neighbourhoods(self.SENTENCE, [0], 3)) == [{0, 1, 2, 3}]
 
 
 class TestLevenshtein:
@@ -355,4 +404,15 @@ class TestTableReaders:
         header = "id,prompt1,prompt2,prompt3,text,R"
         path.write_text(f"{header}\ns1,cat,dog,sun,Cat.,3\n{row}\n", encoding="utf-8")
         with pytest.raises(InputFormatError, match=f"^{re.escape(str(path))}: row 3: {message}"):
+            textpipe.read_stories_csv(path, {}, set(), set())
+
+    @pytest.mark.parametrize("raters", ["R,R", "R,", "R, R "], ids=["repeated", "empty", "spaced"])
+    def test_rater_headers_must_be_non_empty_and_unique(self, tmp_path, raters):
+        path = tmp_path / "stories.csv"
+        path.write_text(f"id,prompt1,prompt2,prompt3,text,{raters}\ns1,cat,dog,sun,Cat.,1,5\n",
+                        encoding="utf-8")
+        with pytest.raises(
+            InputFormatError,
+            match=f"^{re.escape(str(path))}: row 1: rater headers must be non-empty and unique",
+        ):
             textpipe.read_stories_csv(path, {}, set(), set())
