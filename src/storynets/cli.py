@@ -443,6 +443,8 @@ def cmd_build(config):
 
 def _network_from_json(line):
     r = json.loads(line)
+    if r["builder"] not in BUILDER_TAGS:
+        raise ValueError(f"unknown builder {r['builder']!r}")
     net = netbuild.LexicalNetwork(r["nodes"], r["edges"], r["builder"], r.get("valence", {}))
     return (r["story_id"], r["builder"]), net
 

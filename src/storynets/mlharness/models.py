@@ -194,6 +194,9 @@ def _finish_linear(weights, scaler):
     return _LinearEstimator(weights=weights, coef_=coef, intercept_=intercept)
 
 
+_KNN_BLOCK = 8  # query rows per distance block
+
+
 @dataclass
 class _KNN:
     X_train: np.ndarray
@@ -203,21 +206,37 @@ class _KNN:
     p: int
 
     def predict(self, X):
+        """Each row's k nearest training rows, ties to the lower index, in
+        blocks of `_KNN_BLOCK` query rows.
+
+        A block's k-th smallest distance comes from `np.partition`; every
+        row below it is kept, and the lowest-index rows equal to it fill
+        the k.  A stable sort of those by distance gives the order of
+        `argsort(kind="stable")[:k]`, so predictions equal the one-row loop.
+        """
         out = np.empty(X.shape[0])
-        for i, x in enumerate(X):
-            diff = self.X_train - x
+        k = self.k
+        for start in range(0, X.shape[0], _KNN_BLOCK):
+            diff = self.X_train[None] - X[start : start + _KNN_BLOCK, None]
             if self.p == 1:
-                dist = np.abs(diff).sum(axis=1)
+                dist = np.abs(diff, out=diff).sum(axis=2)
             else:
-                dist = np.sqrt((diff**2).sum(axis=1))
-            order = np.argsort(dist, kind="stable")[: self.k]
-            d = dist[order]
+                dist = np.sqrt(np.square(diff, out=diff).sum(axis=2))
+            kth = np.partition(dist, k - 1, axis=1)[:, k - 1 : k]
+            below, equal = dist < kth, dist == kth
+            fill = k - below.sum(axis=1, keepdims=True)
+            keep = below | (equal & (np.cumsum(equal, axis=1) <= fill))
+            nearest = np.nonzero(keep)[1].reshape(-1, k)  # ascending index per row
+            d = np.take_along_axis(dist, nearest, axis=1)
+            order = np.take_along_axis(nearest, np.argsort(d, axis=1, kind="stable"), axis=1)
+            d = np.take_along_axis(dist, order, axis=1)
             targets = self.y_train[order]
+            block = out[start : start + _KNN_BLOCK]
             if self.weights == "uniform":
-                out[i] = targets.mean()
-            elif np.any(d == 0.0):
-                out[i] = targets[d == 0.0].mean()
+                block[:] = targets.mean(axis=1)
             else:
-                w = 1.0 / d
-                out[i] = float(np.sum(w * targets) / np.sum(w))
+                w = 1.0 / np.where(d == 0.0, 1.0, d)
+                block[:] = np.sum(w * targets, axis=1) / np.sum(w, axis=1)
+                for i in np.flatnonzero((d == 0.0).any(axis=1)):
+                    block[i] = targets[i][d[i] == 0.0].mean()
         return out

@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import json
+import multiprocessing
 import shutil
 
 import numpy as np
@@ -286,10 +287,12 @@ class TestPipeline:
             ("emotions", "corpus.jsonl", lambda lines: head_cycle(lines[2])),
             ("features", "networks.jsonl", lambda lines: lines[1]),
             ("spread", "corpus.jsonl", lambda lines: lines[1]),
+            ("features", "networks.jsonl", lambda lines: json.dumps(
+                {**json.loads(lines[2]), "builder": "bogus"})),
         ],
         ids=["truncated-line", "no-sentences", "edge-outside-nodes", "ratings-not-a-mapping",
              "unsafe-story-id", "head-cycle-at-build", "head-cycle-at-emotions",
-             "repeated-network", "repeated-story"],
+             "repeated-network", "repeated-story", "unknown-builder"],
     )
     def test_malformed_upstream_json_is_bad_input(
         self, pipeline, tmp_path, capsys, stage, name, damage
@@ -469,6 +472,19 @@ class TestPipeline:
         assert main([*argv, "--targets", "nobody"]) == 2
         assert "error: no story carries a rating column 'nobody'" in capsys.readouterr().err
         assert {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()} == before
+
+    def test_evaluate_bytes_do_not_depend_on_worker_count(self, pipeline, tmp_path, monkeypatch):
+        source, config = pipeline
+        out = tmp_path / "out"
+        shutil.copytree(source / "out", out)
+        written = []
+        for workers in (1, 2):
+            monkeypatch.setattr(cv, "_workers", lambda n_tasks, w=workers: w)
+            assert main(["evaluate", "--config", str(config), "--out-dir", str(out)]) == 0
+            assert multiprocessing.active_children() == []
+            written.append({p.name: p.read_bytes() for p in sorted(out.glob("attributions_*.csv"))}
+                           | {"results.json": (out / "results.json").read_bytes()})
+        assert len(written[0]) >= 2 and written[0] == written[1]
 
     def test_failed_build_keeps_earlier_edge_files(self, pipeline, tmp_path, monkeypatch):
         source, config = pipeline

@@ -1,3 +1,6 @@
+import multiprocessing
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -18,6 +21,8 @@ from storynets.mlharness import (
     run_matrix,
     select_best,
 )
+from storynets.mlharness import cv
+from storynets.mlharness.models import SingularDesignWarning
 from storynets.seeding import derive_seed
 
 from synthetic import planted_feature_rows
@@ -289,6 +294,69 @@ class TestRunMatrix:
             k=3, rng_seed=4,
         )
         assert results[0].target == "H"
+
+
+MATRIX_SPECS = {
+    "linear": ModelSpec("linear"),
+    "knn": ModelSpec("knn", {"n_neighbors": 5}),
+    "decision_tree": ModelSpec("decision_tree"),
+    "random_forest": ModelSpec("random_forest", {"n_estimators": 3}),
+    "gradient_boosting": ModelSpec("gradient_boosting", {"n_estimators": 5}),
+}
+
+
+def matrix_with_workers(monkeypatch, workers, *args, **kwargs):
+    """run_matrix with `workers` worker processes (1: in-process)."""
+    monkeypatch.setattr(cv, "_workers", lambda n_tasks: workers)
+    try:
+        return run_matrix(*args, **kwargs)
+    finally:
+        assert multiprocessing.active_children() == []
+
+
+class TestRunMatrixWorkers:
+    def test_workers_give_the_same_results(self, monkeypatch):
+        features = small_features()
+        args = (features, ["mean", "H"], ["TFMN"], ["NetStr", "All"], MATRIX_SPECS)
+        one, two = (
+            [r.to_dict() for r in matrix_with_workers(
+                monkeypatch, workers, *args, k=3, rng_seed=5, with_baseline=True)]
+            for workers in (1, 2)
+        )
+        assert len(one) == 2 * 2 * 5 * 2
+        assert one == two
+
+    def test_warnings_raised_again_in_the_caller(self, monkeypatch):
+        # a constant column (permuted or not) makes every exact least-squares
+        # design singular
+        features = small_features()
+        for rows in features.structural["TFMN"].values():
+            rows["n_edges"] = 3.0
+        counts = []
+        for workers in (1, 2):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                matrix_with_workers(
+                    monkeypatch, workers, features, ["mean"], ["TFMN"], ["NetStr"],
+                    {"linear": ModelSpec("linear")}, k=3, rng_seed=6, with_baseline=True,
+                )
+            counts.append(sum(issubclass(w.category, SingularDesignWarning) for w in caught))
+        assert counts[0] == counts[1] == 6  # 3 folds x (cell + baseline)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failing_cell_raises_in_the_caller(self, monkeypatch, workers):
+        # 45 rows in 3 folds leave 30 training rows, too few for 40 neighbours
+        specs = {"linear": ModelSpec("linear"), "knn": ModelSpec("knn", {"n_neighbors": 40})}
+        with pytest.raises(ValueError, match="at least 40 training rows"):
+            matrix_with_workers(monkeypatch, workers, small_features(), ["mean"], ["TFMN"],
+                                ["NetStr"], specs, k=3, rng_seed=7)
+
+    def test_worker_count_follows_cpu_affinity(self, monkeypatch):
+        monkeypatch.setattr(cv.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        assert [cv._workers(n) for n in (1, 2, 3, 10)] == [1, 2, 3, 3]
+        monkeypatch.delattr(cv.os, "sched_getaffinity")
+        monkeypatch.setattr(cv.os, "cpu_count", lambda: None)
+        assert cv._workers(10) == 1
 
 
 class TestSelectBest:

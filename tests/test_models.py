@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import fit_tree_reference
+from oracles import fit_tree_reference, knn_predict_reference
 from synthetic import planted_feature_rows
 
 from storynets.mlharness import (
@@ -172,6 +172,39 @@ class TestKNN:
         y = np.array([1.0, 5.0, 1.0, 5.0, 5.0])
         model = fit(ModelSpec("knn", {"n_neighbors": 5}), rows_from_arrays(X, y))
         assert predict_matrix(model, [[0.1]])[0] < 3.0
+
+    @pytest.mark.parametrize("weights", ["distance", "uniform"])
+    @pytest.mark.parametrize("p", [1, 2])
+    @pytest.mark.parametrize("k", [1, 4, 15])
+    def test_blocks_match_one_row_reference_on_ties(self, weights, p, k):
+        # an integer design with few levels: many equal distances, many
+        # exact zeros (queries drawn from the training rows), and a
+        # query count that leaves a short last block
+        rng = np.random.default_rng(100 * k + p)
+        X = rng.integers(0, 3, size=(40, 3)).astype(float)
+        y = rng.normal(size=40)
+        model = fit(ModelSpec("knn", {"n_neighbors": k, "weights": weights, "p": p}),
+                    rows_from_arrays(X, y))
+        queries = np.vstack([X[:13], rng.integers(0, 3, size=(10, 3)), rng.normal(size=(6, 3))])
+        scaled = model.scaler.transform(queries)
+        expected = knn_predict_reference(model.estimator, scaled)
+        assert predict_matrix(model, queries).tobytes() == expected.tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        cells=st.lists(st.integers(0, 2), min_size=24, max_size=96),
+        k=st.integers(1, 6),
+        weights=st.sampled_from(["distance", "uniform"]),
+        p=st.sampled_from([1, 2]),
+    )
+    def test_blocks_match_one_row_reference_on_integer_grids(self, cells, k, weights, p):
+        X = np.asarray(cells[: len(cells) // 3 * 3], dtype=float).reshape(-1, 3)
+        y = X[:, 0] - 0.5 * X[:, 1] + 0.25 * X[:, 2]
+        model = fit(ModelSpec("knn", {"n_neighbors": k, "weights": weights, "p": p}),
+                    rows_from_arrays(X, y))
+        scaled = model.scaler.transform(X)
+        expected = knn_predict_reference(model.estimator, scaled)
+        assert predict_matrix(model, X).tobytes() == expected.tobytes()
 
     def test_trained_scaler_exposed(self):
         rng = np.random.default_rng(8)
