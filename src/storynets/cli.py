@@ -3,10 +3,12 @@
 Stages: preprocess, build, features, spread, emotions, evaluate,
 compare-builders, report.  An INI config file can supply every option;
 flags override file values.  All artifacts are deterministic for a fixed
-config, and every stage writes a manifest with the config hash and input
-digests.  Every artifact is read and written here: `_read_csv` reads the
-upstream CSVs back, and `_write` moves each file into place only once it
-is complete, so a failed stage never leaves a partial file.
+config.  Every artifact is read and written here, through the stage's
+`_Run`: it records each file the stage reads and writes, and `main` turns
+that record into the stage's manifest (config hash, input digests,
+outputs).  `_read_csv` reads the upstream CSVs back, and `_write` moves
+each file into place only once it is complete, so a failed stage never
+leaves a partial file.
 
 Exit codes: 0 ok, 2 bad input, 3 missing upstream stage output,
 4 numerical non-convergence (PageRank in `features`).
@@ -110,8 +112,14 @@ class RunConfig:
         if self.shap_max_rows < 0:
             raise InputFormatError("shap_max_rows must be >= 0")
         for name in ("builders", "models", "feature_configs", "retention", "targets"):
-            if not getattr(self, name):
+            values = getattr(self, name)
+            if not values:
                 raise InputFormatError(f"{name} must not be empty")
+            # a retention is named by its file names, stationary_r<r:g>.csv
+            keys = [f"{r:g}" for r in values] if name == "retention" else values
+            repeated = [key for i, key in enumerate(keys) if key in keys[:i]]
+            if repeated:
+                raise InputFormatError(f"{name} repeats {repeated[0]!r}")
         for f in fields(self):
             value = getattr(self, f.name)
             if f.default is None and value is not None and not Path(value).exists():
@@ -213,32 +221,17 @@ def resolve_config(args):
 
 
 # ---------------------------------------------------------------------------
-# artifact paths and manifest plumbing
+# the files of one stage run
 
-
-def _paths(config):
-    out = Path(config.out_dir)
-    return {
-        "corpus": out / "corpus.jsonl",
-        "exclusions": out / "exclusions.csv",
-        "networks": out / "networks.jsonl",
-        "edges_dir": out / "edges",
-        "graphml_dir": out / "graphml",
-        "features": out / "features.csv",
-        "histograms_dir": out / "histograms",
-        "emotions": out / "emotions.csv",
-        "results": out / "results.json",
-        "comparison": out / "builder_comparison.csv",
-        "report": out / "report.txt",
-    }
-
-
-def _stationary_path(config, retention):
-    return Path(config.out_dir) / f"stationary_r{retention:g}.csv"
-
-
-def _trajectory_path(config, retention):
-    return Path(config.out_dir) / f"trajectories_r{retention:g}.csv"
+# the stage that writes each upstream artifact a later stage needs
+_WRITTEN_BY = {
+    "corpus.jsonl": "preprocess",
+    "networks.jsonl": "build",
+    "features.csv": "features",
+    "emotions.csv": "emotions",
+    "results.json": "evaluate",
+    "stationary_r*.csv": "spread",
+}
 
 
 def _file_digest(path):
@@ -264,52 +257,76 @@ def _write(path, write):
     return path
 
 
-def _write_csv(path, rows):
-    """Rows (header first) of Python scalars; a float is written as its repr."""
-    return _write(path, lambda fh: csv.writer(fh, lineterminator="\n").writerows(rows))
+class _Run:
+    """Every file one stage reads or writes, each named once: `need` and
+    `given` record the inputs, `write` and `write_csv` the outputs (under
+    `out_dir`, in write order), and `write_manifest` lists them all."""
+
+    def __init__(self, config):
+        self.config = config
+        self.out = Path(config.out_dir)
+        self.inputs = []
+        self.outputs = []
+
+    def need(self, name):
+        """The upstream artifact `out_dir/name`; a missing one names the stage
+        that writes it."""
+        path = self.out / name
+        if not path.exists():
+            stage = next(s for pattern, s in _WRITTEN_BY.items() if Path(name).match(pattern))
+            raise MissingUpstreamError(path, stage)
+        self.inputs.append(path)
+        return path
+
+    def given(self, path):
+        """The input file an option names, or None where it names none."""
+        if path:
+            self.inputs.append(path)
+        return path
+
+    def write(self, name, write):
+        """`_write` of `out_dir/name`, recorded as an output as it begins."""
+        path = self.out / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        self.outputs.append(path)
+        return _write(path, write)
+
+    def write_csv(self, name, rows):
+        """Rows (header first) of Python scalars; a float is written as its repr."""
+        return self.write(name, lambda fh: csv.writer(fh, lineterminator="\n").writerows(rows))
+
+    def prune(self, directory):
+        """Remove the files under `out_dir/directory` that this run did not
+        write: per-network files left by an earlier run with other builders or
+        stories."""
+        directory = self.out / directory
+        keep = set(self.outputs)
+        if directory.is_dir():
+            for path in directory.iterdir():
+                if path.is_file() and path not in keep:
+                    path.unlink()
+
+    def write_manifest(self, stage):
+        manifest = {
+            "stage": stage,
+            "config_hash": config_hash(self.config),
+            "rng_seed": self.config.rng_seed,
+            "inputs": {str(p): _file_digest(p) for p in self.inputs},
+            "outputs": [str(p) for p in self.outputs],
+        }
+        text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+        _write(self.out / f"manifest_{stage.replace('-', '_')}.json", lambda fh: fh.write(text))
 
 
-def _write_manifest(config, stage, inputs, outputs):
-    out = Path(config.out_dir)
-    manifest = {
-        "stage": stage,
-        "config_hash": config_hash(config),
-        "rng_seed": config.rng_seed,
-        "inputs": {str(p): _file_digest(p) for p in inputs if p and Path(p).exists()},
-        "outputs": [str(p) for p in outputs],
-    }
-    text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
-    return _write(out / f"manifest_{stage.replace('-', '_')}.json", lambda fh: fh.write(text))
-
-
-def _prune(directory, written):
-    """Remove the files under `directory` that this run did not write: per-network
-    files left by an earlier run with other builders or stories."""
-    keep = set(written)
-    if directory.is_dir():
-        for path in directory.iterdir():
-            if path.is_file() and path not in keep:
-                path.unlink()
-
-
-def _require(path, stage_to_run):
-    if not Path(path).exists():
-        raise MissingUpstreamError(path, stage_to_run)
-
-
-def _load_wordlists(config):
-    stoplist = (
-        textpipe.load_wordlist(config.stoplist)
-        if config.stoplist
-        else textpipe.default_stoplist()
+def _load_wordlists(run):
+    stoplist, pronouns, lemma_table = map(
+        run.given, (run.config.stoplist, run.config.pronouns, run.config.lemma_table)
     )
-    pronouns = (
-        textpipe.load_wordlist(config.pronouns)
-        if config.pronouns
-        else textpipe.default_pronouns()
+    return (
+        textpipe.load_wordlist(stoplist) if stoplist else textpipe.default_stoplist(),
+        textpipe.load_wordlist(pronouns) if pronouns else textpipe.default_pronouns(),
+        textpipe.load_lemma_table(lemma_table) if lemma_table else {},
     )
-    lemma_table = textpipe.load_lemma_table(config.lemma_table) if config.lemma_table else {}
-    return stoplist, pronouns, lemma_table
 
 
 def _read_jsonl(path, parse):
@@ -335,26 +352,25 @@ def _story_from_json(line):
     return story.id, story
 
 
-def _read_corpus(config):
-    path = _paths(config)["corpus"]
-    _require(path, "preprocess")
-    return list(_read_jsonl(path, _story_from_json).values())
+def _read_corpus(run):
+    return list(_read_jsonl(run.need("corpus.jsonl"), _story_from_json).values())
 
 
 # ---------------------------------------------------------------------------
 # stages
 
 
-def cmd_preprocess(config):
+def cmd_preprocess(run):
+    config = run.config
     if not config.stories_csv:
         raise InputFormatError("preprocess requires --stories-csv")
-    stoplist, pronouns, lemma_table = _load_wordlists(config)
+    stoplist, pronouns, lemma_table = _load_wordlists(run)
     conllu_sentences = None
     if config.conllu:
-        with open(config.conllu, "rb") as fh:
+        with open(run.given(config.conllu), "rb") as fh:
             conllu_sentences = textpipe.read_conllu(fh.read(), stoplist, pronouns, config.conllu)
     stories = textpipe.read_stories_csv(
-        config.stories_csv, lemma_table, stoplist, pronouns, conllu_sentences
+        run.given(config.stories_csv), lemma_table, stoplist, pronouns, conllu_sentences
     )
     kept = []
     excluded = []
@@ -366,31 +382,23 @@ def cmd_preprocess(config):
             log.info("excluding story %s: unmatched prompt(s) %s", story.id, missing)
         else:
             kept.append(story)
-    out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    paths = _paths(config)
     lines = (textpipe.story_to_json(story) + "\n" for story in kept)
-    _write(paths["corpus"], lambda fh: fh.writelines(lines))
-    _write_csv(
-        paths["exclusions"],
+    run.write("corpus.jsonl", lambda fh: fh.writelines(lines))
+    run.write_csv(
+        "exclusions.csv",
         [("story_id", "unmatched_prompts")] + [(sid, ";".join(m)) for sid, m in excluded],
     )
-    outputs = [paths["corpus"], paths["exclusions"]]
     if config.export_conllu:
         conllu = textpipe.write_conllu({s.id: s.sentences for s in kept})
-        outputs.append(_write(out / "corpus.conllu", lambda fh: fh.write(conllu)))
-    inputs = [config.stories_csv, config.conllu, config.lemma_table, config.stoplist,
-              config.pronouns]
-    _write_manifest(config, "preprocess", inputs, outputs)
+        run.write("corpus.conllu", lambda fh: fh.write(conllu))
     log.info("retained %d stories, excluded %d", len(kept), len(excluded))
-    return 0
 
 
-def cmd_build(config):
-    paths = _paths(config)
-    stories = _read_corpus(config)
-    relations = netbuild.load_relations(config.relations) if config.relations else None
-    lexicon = affect.load_lexicon_file(config.lexicon) if config.lexicon else None
+def cmd_build(run):
+    config = run.config
+    stories = _read_corpus(run)
+    relations = netbuild.load_relations(run.given(config.relations)) if config.relations else None
+    lexicon = affect.load_lexicon_file(run.given(config.lexicon)) if config.lexicon else None
     if "TFMN" in config.builders:
         for story in stories:
             if not any(t.head_index is not None for t in story.all_tokens()) and any(
@@ -400,10 +408,6 @@ def cmd_build(config):
                     f"story {story.id} has no dependency parse; supply --conllu at "
                     "preprocess time or drop TFMN from --builders"
                 )
-    paths["edges_dir"].mkdir(parents=True, exist_ok=True)
-    if config.export_graphml:
-        paths["graphml_dir"].mkdir(parents=True, exist_ok=True)
-    edge_files, graphml_files = [], []
 
     def write_networks(fh):
         for story in stories:
@@ -421,24 +425,15 @@ def cmd_build(config):
                 }
                 fh.write(json.dumps(record, ensure_ascii=False) + "\n")
                 name = f"{story.id}__{tag}"
-                edge_files.append(
-                    _write_csv(paths["edges_dir"] / f"{name}.csv", netbuild.edge_rows(net))
-                )
+                run.write_csv(f"edges/{name}.csv", netbuild.edge_rows(net))
                 if config.export_graphml:
                     graphml = netbuild.graphml(net)
-                    graphml_files.append(_write(
-                        paths["graphml_dir"] / f"{name}.graphml", lambda g: g.write(graphml)
-                    ))
+                    run.write(f"graphml/{name}.graphml", lambda g: g.write(graphml))
 
-    _write(paths["networks"], write_networks)
-    _prune(paths["edges_dir"], edge_files)
-    _prune(paths["graphml_dir"], graphml_files)
-    _write_manifest(
-        config, "build", [paths["corpus"], config.lexicon, config.relations],
-        [paths["networks"]] + edge_files,
-    )
-    log.info("built %d networks for %d stories", len(edge_files), len(stories))
-    return 0
+    run.write("networks.jsonl", write_networks)
+    run.prune("edges")
+    run.prune("graphml")
+    log.info("built %d networks for %d stories", len(stories) * len(config.builders), len(stories))
 
 
 def _network_from_json(line):
@@ -449,42 +444,32 @@ def _network_from_json(line):
     return (r["story_id"], r["builder"]), net
 
 
-def _read_networks(config):
-    path = _paths(config)["networks"]
-    _require(path, "build")
-    return _read_jsonl(path, _network_from_json)
+def _read_networks(run):
+    return _read_jsonl(run.need("networks.jsonl"), _network_from_json)
 
 
-def cmd_features(config):
-    paths = _paths(config)
-    nets = _read_networks(config)
+def cmd_features(run):
+    nets = _read_networks(run)
     centralisations = graphmetrics.pagerank_centralisations(
-        [net.index for net in nets.values()], damping=config.pagerank_damping
+        [net.index for net in nets.values()], damping=run.config.pagerank_damping
     )
     feats = {
         key: graphmetrics.structural_features(net, centralisation=centralisation)
         for (key, net), centralisation in zip(nets.items(), centralisations)
     }
-    _write_csv(paths["features"], graphmetrics.feature_rows(feats))
-    paths["histograms_dir"].mkdir(parents=True, exist_ok=True)
-    outputs = [paths["features"]]
+    run.write_csv("features.csv", graphmetrics.feature_rows(feats))
     by_builder = {}
     for (story_id, builder), f in feats.items():
         by_builder.setdefault(builder, []).append(f)
     for builder, rows in sorted(by_builder.items()):
         for name in graphmetrics.STRUCTURAL_FEATURE_NAMES + ("n_components",):
             values = (f.as_dict()[name] for f in rows)
-            outputs.append(_write_csv(
-                paths["histograms_dir"] / f"{name}__{builder}.csv",
-                graphmetrics.histogram_rows(values),
-            ))
-    _prune(paths["histograms_dir"], outputs)
-    _write_manifest(config, "features", [paths["networks"]], outputs)
+            run.write_csv(f"histograms/{name}__{builder}.csv", graphmetrics.histogram_rows(values))
+    run.prune("histograms")
     log.info("wrote structural features for %d networks", len(feats))
-    return 0
 
 
-def _write_trajectories(path, traces):
+def _write_trajectories(run, name, traces):
     """The long-format trajectory CSV of ((story_id, builder), traces) pairs: one
     (step, story_id, builder, seed, value) line per step of each trace.
 
@@ -506,19 +491,17 @@ def _write_trajectories(path, traces):
                     f"{step}{mid}{value!r}\n" for step, value in enumerate(trace.seed_series)
                 ))
 
-    return _write(path, write)
+    return run.write(name, write)
 
 
-def cmd_spread(config):
-    paths = _paths(config)
-    stories = _read_corpus(config)
-    nets = _read_networks(config)
+def cmd_spread(run):
+    stories = _read_corpus(run)
+    nets = _read_networks(run)
     netbuild.label_components([net.index for net in nets.values()])
     nets_by_story = {}
     for (story_id, builder), net in nets.items():
         nets_by_story.setdefault(story_id, {})[builder] = net
-    outputs = []
-    for retention in config.retention:
+    for retention in run.config.retention:
         alphas = [("story_id", "builder", "alpha1", "alpha2", "alpha3")]
 
         def traces():
@@ -532,24 +515,17 @@ def cmd_spread(config):
                     alphas.append((story.id, builder, *(t.stationary_alpha for t in triple)))
                     yield (story.id, builder), triple
 
-        tpath = _write_trajectories(_trajectory_path(config, retention), traces())
-        outputs.extend([_write_csv(_stationary_path(config, retention), alphas), tpath])
-    _write_manifest(config, "spread", [paths["corpus"], paths["networks"]], outputs)
-    return 0
+        _write_trajectories(run, f"trajectories_r{retention:g}.csv", traces())
+        run.write_csv(f"stationary_r{retention:g}.csv", alphas)
 
 
-def cmd_emotions(config):
-    paths = _paths(config)
-    stories = _read_corpus(config)
-    if not config.lexicon:
+def cmd_emotions(run):
+    stories = _read_corpus(run)
+    if not run.config.lexicon:
         raise InputFormatError("emotions requires --lexicon")
-    lexicon = affect.load_lexicon_file(config.lexicon)
+    lexicon = affect.load_lexicon_file(run.given(run.config.lexicon))
     profiles = {s.id: affect.profile_story(s.sentences, lexicon) for s in stories}
-    _write_csv(paths["emotions"], affect.emotion_rows(profiles))
-    _write_manifest(
-        config, "emotions", [paths["corpus"], config.lexicon], [paths["emotions"]]
-    )
-    return 0
+    run.write_csv("emotions.csv", affect.emotion_rows(profiles))
 
 
 def _read_csv(path, names, keys):
@@ -588,28 +564,29 @@ def _collect_targets(stories, wanted):
     return targets
 
 
-def cmd_evaluate(config):
-    paths = _paths(config)
-    stationary = _stationary_path(config, config.retention[0])
-    _require(paths["features"], "features")
-    _require(stationary, "spread")
-    _require(paths["emotions"], "emotions")
-    stories = _read_corpus(config)
+def cmd_evaluate(run):
+    config = run.config
+    features_path = run.need("features.csv")
+    stationary = run.need(f"stationary_r{config.retention[0]:g}.csv")
+    emotions = run.need("emotions.csv")
+    stories = _read_corpus(run)
     per_cell = ("builder", "story_id")
-    structural = _read_csv(paths["features"], graphmetrics.STRUCTURAL_FEATURE_NAMES, per_cell)
+    structural = _read_csv(features_path, graphmetrics.STRUCTURAL_FEATURE_NAMES, per_cell)
     alphas = _read_csv(stationary, ("alpha1", "alpha2", "alpha3"), per_cell)
     features = CorpusFeatures(
         structural=structural,
         alphas={b: {s: tuple(a.values()) for s, a in rows.items()} for b, rows in alphas.items()},
-        emotions=_read_csv(paths["emotions"], EMOTION_FEATURE_NAMES, ("story_id",)),
+        emotions=_read_csv(emotions, EMOTION_FEATURE_NAMES, ("story_id",)),
         targets=_collect_targets(stories, config.targets),
     )
-    builders = [b for b in config.builders if b in features.structural]
+    for path, table in ((features_path, structural), (stationary, alphas)):
+        for builder in config.builders:
+            if builder not in table:
+                raise InputFormatError(f"{path}: no rows for builder {builder!r}")
     # a table's stories do not depend on its feature config
     first_config = config.feature_configs[0]
     smallest = min(
-        (len(features.rows(b, first_config, t)) for b in builders for t in config.targets),
-        default=0,
+        len(features.rows(b, first_config, t)) for b in config.builders for t in config.targets
     )
     if config.folds > smallest:
         raise InputFormatError(
@@ -618,7 +595,7 @@ def cmd_evaluate(config):
     results = run_matrix(
         features,
         config.targets,
-        builders,
+        config.builders,
         config.feature_configs,
         {kind: ModelSpec(kind) for kind in config.models},
         k=config.folds,
@@ -633,21 +610,19 @@ def cmd_evaluate(config):
         },
     }
     text = json.dumps(payload, indent=2, ensure_ascii=False) + "\n"
-    outputs = [_write(paths["results"], lambda fh: fh.write(text))]
+    run.write("results.json", lambda fh: fh.write(text))
     for target in config.targets:
-        outputs.append(_write_attributions(config, features, results, target))
-    inputs = [paths["features"], stationary, paths["emotions"], paths["corpus"]]
-    _write_manifest(config, "evaluate", inputs, outputs)
-    return 0
+        _write_attributions(run, features, results, target)
 
 
-def _write_attributions(config, features, results, target):
+def _write_attributions(run, features, results, target):
     """SHAP-style attribution CSV for the best cell of one target.
 
     Models are refit per CV fold and each fold's held-out rows are
     explained against that fold's training background, up to
     shap_max_rows rows in total.
     """
+    config = run.config
     best = select_best(results, target)
     table = features.rows(best.builder_tag, best.config, target)
     spec = ModelSpec(best.model_kind, rng_seed=best.rng_seed)
@@ -672,32 +647,29 @@ def _write_attributions(config, features, results, target):
     if blocks:
         merged = replace(blocks[0], values=np.vstack([b.values for b in blocks]))
         rows = attribution_rows(explained_ids, merged)
-    return _write_csv(Path(config.out_dir) / f"attributions_{target}.csv", rows)
+    return run.write_csv(f"attributions_{target}.csv", rows)
 
 
-def cmd_compare_builders(config):
-    paths = _paths(config)
-    _require(paths["features"], "features")
+def cmd_compare_builders(run):
     values_by_builder = _read_csv(
-        paths["features"],
+        run.need("features.csv"),
         graphmetrics.STRUCTURAL_FEATURE_NAMES + ("n_components",),
         ("builder", "story_id"),
     )
-    _write_csv(
-        paths["comparison"],
+    run.write_csv(
+        "builder_comparison.csv",
         stats.builder_comparison_rows(
-            values_by_builder, n_perm=config.n_perm, rng_seed=config.rng_seed
+            values_by_builder, n_perm=run.config.n_perm, rng_seed=run.config.rng_seed
         ),
     )
-    _write_manifest(config, "compare-builders", [paths["features"]], [paths["comparison"]])
-    return 0
 
 
-def _retention_finding(config, stationary):
+def _retention_finding(run):
     """One report line: whether the stationary alphas change with retention."""
+    retention = run.config.retention
     tables = []
-    for path in stationary:
-        _require(path, "spread")
+    for r in retention:
+        path = run.need(f"stationary_r{r:g}.csv")
         table = _read_csv(path, ("alpha1", "alpha2", "alpha3"), ("story_id", "builder"))
         tables.append({
             (story_id, builder, name): value
@@ -705,7 +677,7 @@ def _retention_finding(config, stationary):
             for builder, alphas in per_builder.items()
             for name, value in alphas.items()
         })
-    head = "stationary alphas across retention " + ", ".join(f"{r:g}" for r in config.retention)
+    head = "stationary alphas across retention " + ", ".join(f"{r:g}" for r in retention)
     if any(t.keys() != tables[0].keys() for t in tables):
         return f"{head}: the files cover different networks"
     diff = max((abs(t[key] - tables[0][key]) for t in tables[1:] for key in t), default=0.0)
@@ -732,13 +704,8 @@ def _read_results(path):
     return results
 
 
-def cmd_report(config):
-    paths = _paths(config)
-    _require(paths["results"], "evaluate")
-    stationary = (
-        [_stationary_path(config, r) for r in config.retention] if len(config.retention) > 1 else []
-    )
-    results = _read_results(paths["results"])
+def cmd_report(run):
+    results = _read_results(run.need("results.json"))
     lines = ["storynets evaluation report", "=" * 60]
     real = [r for r in results if not r["permuted"]]
     permuted = {
@@ -774,17 +741,16 @@ def cmd_report(config):
                 f"  real vs permuted MAE (one-sided Wilcoxon): W={test.statistic:g}, "
                 f"p={p_text}, n={test.n}"
             )
-    if stationary:
+    if len(run.config.retention) > 1:
         lines.append("")
-        lines.append(_retention_finding(config, stationary))
-    if paths["comparison"].exists():
+        lines.append(_retention_finding(run))
+    comparison = run.out / "builder_comparison.csv"
+    if comparison.exists():
         lines.append("")
-        lines.append(f"builder comparison table: {paths['comparison']}")
+        lines.append(f"builder comparison table: {comparison}")
     text = "\n".join(lines) + "\n"
-    _write(paths["report"], lambda fh: fh.write(text))
+    run.write("report.txt", lambda fh: fh.write(text))
     sys.stdout.write(text)
-    _write_manifest(config, "report", [paths["results"]] + stationary, [paths["report"]])
-    return 0
 
 
 _COMMANDS = {
@@ -808,7 +774,10 @@ def main(argv=None):
     try:
         config = resolve_config(args)
         Path(config.out_dir).mkdir(parents=True, exist_ok=True)
-        return _COMMANDS[args.command](config)
+        run = _Run(config)
+        _COMMANDS[args.command](run)
+        run.write_manifest(args.command)
+        return 0
     except (MissingUpstreamError, ConvergenceError, InputFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc, MissingUpstreamError):

@@ -276,7 +276,9 @@ class TestExports:
         traces = {("demo1", tag): triple for tag, triple in per_builder.items()}
         assert len(traces) == len(nets)
         assert all(len(triple) == 3 for triple in traces.values())
-        path = cli._write_trajectories(tmp_path / "t.csv", traces.items())
+        path = cli._write_trajectories(
+            cli._Run(cli.RunConfig(out_dir=str(tmp_path))), "t.csv", traces.items()
+        )
         with open(path, newline="", encoding="utf-8") as fh:
             traj = list(csv.reader(fh))
         assert traj[0] == ["step", "story_id", "builder", "seed", "value"]

@@ -3,6 +3,9 @@ import dataclasses
 import json
 import multiprocessing
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -271,6 +274,24 @@ class TestPipeline:
         assert "folds=13 exceeds the 12 rows" in capsys.readouterr().err
         assert {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()} == before
 
+    @pytest.mark.parametrize("name", ["features.csv", "stationary_r0.2.csv"])
+    @pytest.mark.parametrize("builders", ["TFMN,coocc_WS2", "TFMN"])
+    def test_requested_builder_without_rows_is_bad_input(
+        self, pipeline, tmp_path, capsys, name, builders
+    ):
+        source, config = pipeline
+        out = tmp_path / "out"
+        shutil.copytree(source / "out", out)
+        with open(out / name, encoding="utf-8", newline="") as fh:
+            rows = [row for row in csv.reader(fh) if row[1] != "TFMN"]
+        with open(out / name, "w", encoding="utf-8", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(rows)
+        before = {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()}
+        argv = ["evaluate", "--config", str(config), "--out-dir", str(out), "--builders", builders]
+        assert main(argv) == 2
+        assert f"error: {out / name}: no rows for builder 'TFMN'" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()} == before
+
     @pytest.mark.parametrize(
         "stage, name, damage",
         [
@@ -444,7 +465,7 @@ class TestPipeline:
         shutil.copytree(source / "out", out)
         argv = ["build", "--config", str(config), "--out-dir", str(out), "--export-graphml"]
         assert main(argv) == 0
-        nets = dict(cli._read_networks(RunConfig(out_dir=str(out))))
+        nets = dict(cli._read_networks(cli._Run(RunConfig(out_dir=str(out)))))
         files = sorted((out / "graphml").iterdir())
         assert [p.name for p in files] == sorted(f"{s}__{b}.graphml" for s, b in nets)
         for path in files:
@@ -543,6 +564,32 @@ class TestPipeline:
             if p.is_file()
         }
         assert before == after
+
+
+
+DEMO_SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "make_demo_corpus.py"
+
+
+def test_manifests_list_every_file_of_the_run(tmp_path, monkeypatch):
+    """After a demo run of every stage, each file under out/ but the manifests is
+    an output of exactly one manifest, and each listed output exists."""
+    subprocess.run(
+        [sys.executable, str(DEMO_SCRIPT), "."], cwd=tmp_path, check=True, capture_output=True
+    )
+    monkeypatch.chdir(tmp_path)
+    flags = ["--config", "run.ini", "--retention", "0.2,0.5", "--export-graphml",
+             "--export-conllu"]
+    for stage in cli.STAGES:
+        assert main([stage, *flags]) == 0, stage
+    listed = [
+        Path(p)
+        for manifest in sorted(Path("out").glob("manifest_*.json"))
+        for p in json.loads(manifest.read_text(encoding="utf-8"))["outputs"]
+    ]
+    assert len(listed) == len(set(listed))
+    files = {p for p in Path("out").rglob("*") if p.is_file() and not p.match("manifest_*.json")}
+    assert {p.suffix for p in files} >= {".graphml", ".conllu"}
+    assert set(listed) == files
 
 
 class TestExitCodes:
@@ -649,6 +696,12 @@ class TestExitCodes:
             ("--feature-configs", "Foo"),
             ("--models", "svm"),
             ("--pagerank-damping", "1.0"),
+            ("--builders", "TFMN,coocc_WS2,TFMN"),
+            ("--retention", "0.5,0.5"),
+            ("--retention", "0.5,0.500000001"),
+            ("--feature-configs", "All,All"),
+            ("--models", "linear,linear"),
+            ("--targets", "mean,mean"),
         ],
         ids="-".join,
     )
@@ -816,7 +869,7 @@ class TestAttributionFolds:
             return real_fit(spec, table)
 
         monkeypatch.setattr(cv, "fit", counting_fit)
-        path = cli._write_attributions(config, features, results, "mean")
+        path = cli._write_attributions(cli._Run(config), features, results, "mean")
         return fitted, path.read_text(encoding="utf-8").splitlines()
 
     def test_budget_inside_one_fold_fits_one_model(self, tmp_path, monkeypatch):
@@ -942,7 +995,7 @@ class TestTrajectoryWriter:
             (('story, "one"', "TFMN"), (_trace('a,"b"', (3.0, 0.1, 1e-17)), _trace("c", (2.0,)))),
             (("plain", "coocc_WS2"), (_trace("line\nbreak", (5.0, 2.5)),)),
         ]
-        path = cli._write_trajectories(tmp_path / "t.csv", traces)
+        path = cli._write_trajectories(cli._Run(RunConfig(out_dir=str(tmp_path))), "t.csv", traces)
         want = tmp_path / "want.csv"
         with open(want, "w", encoding="utf-8", newline="") as fh:
             csv.writer(fh, lineterminator="\n").writerows(trajectory_rows_reference(traces))
@@ -955,12 +1008,13 @@ class TestTrajectoryWriter:
             raise OSError("disk full")
 
         with pytest.raises(OSError, match="disk full"):
-            cli._write_trajectories(tmp_path / "t.csv", traces())
+            cli._write_trajectories(cli._Run(RunConfig(out_dir=str(tmp_path))), "t.csv", traces())
         assert list(tmp_path.iterdir()) == []
 
 class TestWriter:
     def test_floats_written_as_repr(self, tmp_path):
-        path = cli._write_csv(tmp_path / "t.csv", [("a", "b", "c", "count"), (0.1, 1e-17, 2.0, 3)])
+        run = cli._Run(RunConfig(out_dir=str(tmp_path)))
+        path = run.write_csv("t.csv", [("a", "b", "c", "count"), (0.1, 1e-17, 2.0, 3)])
         assert path.read_text(encoding="utf-8") == "a,b,c,count\n0.1,1e-17,2.0,3\n"
 
     def test_failed_write_keeps_old_file(self, tmp_path):
