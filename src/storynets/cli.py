@@ -4,11 +4,13 @@ Stages: preprocess, build, features, spread, emotions, evaluate,
 compare-builders, report.  An INI config file can supply every option;
 flags override file values.  All artifacts are deterministic for a fixed
 config.  Every artifact is read and written here, through the stage's
-`_Run`: it records each file the stage reads and writes, and `main` turns
-that record into the stage's manifest (config hash, input digests,
-outputs).  `_read_csv` reads the upstream CSVs back, and `_write` moves
-each file into place only once it is complete, so a failed stage never
-leaves a partial file.
+`_Run`, and `main` turns its record into the stage's manifest (config hash,
+input digests, outputs by their name under out_dir).  Each stage owns the
+files matching its `_OUTPUTS` patterns: once it succeeds it removes those it
+did not write, so out_dir is no place for user files of those names.
+`_write` moves each file into place only once it is complete, so a failed
+stage never leaves a partial file, nor removes one.  `evaluate` reads the
+alphas of the first listed retention only, as they do not depend on it.
 
 Exit codes: 0 ok, 2 bad input, 3 missing upstream stage output,
 4 numerical non-convergence (PageRank in `features`).
@@ -223,14 +225,18 @@ def resolve_config(args):
 # ---------------------------------------------------------------------------
 # the files of one stage run
 
-# the stage that writes each upstream artifact a later stage needs
-_WRITTEN_BY = {
-    "corpus.jsonl": "preprocess",
-    "networks.jsonl": "build",
-    "features.csv": "features",
-    "emotions.csv": "emotions",
-    "results.json": "evaluate",
-    "stationary_r*.csv": "spread",
+# every file each stage writes, as glob patterns under out_dir: `need` names
+# the stage behind an upstream file, and a stage that succeeds removes the
+# files matching its patterns that it did not write
+_OUTPUTS = {
+    "preprocess": ("corpus.jsonl", "exclusions.csv", "corpus.conllu"),
+    "build": ("networks.jsonl", "edges/*", "graphml/*"),
+    "features": ("features.csv", "histograms/*"),
+    "spread": ("trajectories_r*.csv", "stationary_r*.csv"),
+    "emotions": ("emotions.csv",),
+    "evaluate": ("results.json", "attributions_*.csv"),
+    "compare-builders": ("builder_comparison.csv",),
+    "report": ("report.txt",),
 }
 
 
@@ -259,8 +265,8 @@ def _write(path, write):
 
 class _Run:
     """Every file one stage reads or writes, each named once: `need` and
-    `given` record the inputs, `write` and `write_csv` the outputs (under
-    `out_dir`, in write order), and `write_manifest` lists them all."""
+    `given` record the inputs, `write` and `write_csv` the outputs (by name
+    under `out_dir`, in write order), and `finish` lists them all."""
 
     def __init__(self, config):
         self.config = config
@@ -273,7 +279,8 @@ class _Run:
         that writes it."""
         path = self.out / name
         if not path.exists():
-            stage = next(s for pattern, s in _WRITTEN_BY.items() if Path(name).match(pattern))
+            stage = next(s for s, patterns in _OUTPUTS.items()
+                         if any(Path(name).match(p) for p in patterns))
             raise MissingUpstreamError(path, stage)
         self.inputs.append(path)
         return path
@@ -288,31 +295,26 @@ class _Run:
         """`_write` of `out_dir/name`, recorded as an output as it begins."""
         path = self.out / name
         path.parent.mkdir(parents=True, exist_ok=True)
-        self.outputs.append(path)
+        self.outputs.append(name)
         return _write(path, write)
 
     def write_csv(self, name, rows):
         """Rows (header first) of Python scalars; a float is written as its repr."""
         return self.write(name, lambda fh: csv.writer(fh, lineterminator="\n").writerows(rows))
 
-    def prune(self, directory):
-        """Remove the files under `out_dir/directory` that this run did not
-        write: per-network files left by an earlier run with other builders or
-        stories."""
-        directory = self.out / directory
-        keep = set(self.outputs)
-        if directory.is_dir():
-            for path in directory.iterdir():
-                if path.is_file() and path not in keep:
-                    path.unlink()
-
-    def write_manifest(self, stage):
+    def finish(self, stage):
+        """Remove the files of `_OUTPUTS[stage]` that this run did not write
+        (left by an earlier run with other options), then write the manifest."""
+        written = set(self.outputs)
+        for path in (p for pattern in _OUTPUTS[stage] for p in self.out.glob(pattern)):
+            if path.is_file() and path.relative_to(self.out).as_posix() not in written:
+                path.unlink()
         manifest = {
             "stage": stage,
             "config_hash": config_hash(self.config),
             "rng_seed": self.config.rng_seed,
             "inputs": {str(p): _file_digest(p) for p in self.inputs},
-            "outputs": [str(p) for p in self.outputs],
+            "outputs": self.outputs,
         }
         text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
         _write(self.out / f"manifest_{stage.replace('-', '_')}.json", lambda fh: fh.write(text))
@@ -431,8 +433,6 @@ def cmd_build(run):
                     run.write(f"graphml/{name}.graphml", lambda g: g.write(graphml))
 
     run.write("networks.jsonl", write_networks)
-    run.prune("edges")
-    run.prune("graphml")
     log.info("built %d networks for %d stories", len(stories) * len(config.builders), len(stories))
 
 
@@ -465,7 +465,6 @@ def cmd_features(run):
         for name in graphmetrics.STRUCTURAL_FEATURE_NAMES + ("n_components",):
             values = (f.as_dict()[name] for f in rows)
             run.write_csv(f"histograms/{name}__{builder}.csv", graphmetrics.histogram_rows(values))
-    run.prune("histograms")
     log.info("wrote structural features for %d networks", len(feats))
 
 
@@ -747,7 +746,7 @@ def cmd_report(run):
     comparison = run.out / "builder_comparison.csv"
     if comparison.exists():
         lines.append("")
-        lines.append(f"builder comparison table: {comparison}")
+        lines.append(f"builder comparison table: {comparison.name}")
     text = "\n".join(lines) + "\n"
     run.write("report.txt", lambda fh: fh.write(text))
     sys.stdout.write(text)
@@ -776,7 +775,7 @@ def main(argv=None):
         Path(config.out_dir).mkdir(parents=True, exist_ok=True)
         run = _Run(config)
         _COMMANDS[args.command](run)
-        run.write_manifest(args.command)
+        run.finish(args.command)
         return 0
     except (MissingUpstreamError, ConvergenceError, InputFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

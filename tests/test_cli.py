@@ -570,26 +570,43 @@ class TestPipeline:
 DEMO_SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "make_demo_corpus.py"
 
 
-def test_manifests_list_every_file_of_the_run(tmp_path, monkeypatch):
-    """After a demo run of every stage, each file under out/ but the manifests is
-    an output of exactly one manifest, and each listed output exists."""
+def test_manifests_list_every_file_of_the_run(tmp_path, monkeypatch, capsys):
+    """After a demo run of every stage, and again after re-running four stages
+    with fewer retentions, targets and exports, each file under out/ but the
+    manifests is an output of exactly one manifest, each listed output exists
+    and matches its stage's patterns, and `report` no longer finds the alphas
+    of the dropped retention."""
     subprocess.run(
         [sys.executable, str(DEMO_SCRIPT), "."], cwd=tmp_path, check=True, capture_output=True
     )
     monkeypatch.chdir(tmp_path)
     flags = ["--config", "run.ini", "--retention", "0.2,0.5", "--export-graphml",
-             "--export-conllu"]
+             "--export-conllu", "--targets", "mean,H"]
     for stage in cli.STAGES:
         assert main([stage, *flags]) == 0, stage
-    listed = [
-        Path(p)
-        for manifest in sorted(Path("out").glob("manifest_*.json"))
-        for p in json.loads(manifest.read_text(encoding="utf-8"))["outputs"]
-    ]
-    assert len(listed) == len(set(listed))
-    files = {p for p in Path("out").rglob("*") if p.is_file() and not p.match("manifest_*.json")}
-    assert {p.suffix for p in files} >= {".graphml", ".conllu"}
-    assert set(listed) == files
+
+    def check_listed():
+        listed = []
+        for manifest in sorted(Path("out").glob("manifest_*.json")):
+            record = json.loads(manifest.read_text(encoding="utf-8"))
+            patterns = cli._OUTPUTS[record["stage"]]
+            for p in record["outputs"]:
+                assert any(Path(p).match(pattern) for pattern in patterns), (manifest, p)
+                listed.append(Path("out") / p)
+        assert len(listed) == len(set(listed))
+        files = {p for p in Path("out").rglob("*")
+                 if p.is_file() and not p.match("manifest_*.json")}
+        assert set(listed) == files
+        return files
+
+    assert {p.suffix for p in check_listed()} >= {".graphml", ".conllu"}
+    for stage in ("preprocess", "build", "spread", "evaluate"):
+        assert main([stage, "--config", "run.ini"]) == 0, stage
+    files = check_listed()
+    assert not {p.suffix for p in files} & {".graphml", ".conllu"}
+    capsys.readouterr()
+    assert main(["report", "--config", "run.ini", "--retention", "0.2,0.5"]) == 3
+    assert "run the 'spread' stage first" in capsys.readouterr().err
 
 
 class TestExitCodes:
