@@ -744,7 +744,7 @@ def cmd_report(run):
         lines.append("")
         lines.append(_retention_finding(run))
     comparison = run.out / "builder_comparison.csv"
-    if comparison.exists():
+    if run.given(comparison if comparison.exists() else None):
         lines.append("")
         lines.append(f"builder comparison table: {comparison.name}")
     text = "\n".join(lines) + "\n"

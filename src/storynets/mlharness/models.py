@@ -194,7 +194,20 @@ def _finish_linear(weights, scaler):
     return _LinearEstimator(weights=weights, coef_=coef, intercept_=intercept)
 
 
-_KNN_BLOCK = 8  # query rows per distance block
+_KNN_BLOCK = 64  # query rows per distance block
+_F32_UNIT = 2.0**-24  # float32 unit roundoff
+_F32_FLOOR = 2.0**-146  # absolute term per feature: float32 subnormals are 2**-149 apart
+_F32_SAFE = 2.0**126  # below this no float32 step of the screen overflows
+
+
+def _screen_bound(reach, p):
+    """E for each query row, from `reach[:, j]` = max |x_j| over the training
+    rows + |q_j|: see `_KNN.predict`.  Infinite where the screen could
+    overflow or B is NaN."""
+    nf = reach.shape[1]
+    size = (reach if p == 1 else reach**2).sum(axis=1)
+    bound = (nf + (3 if p == 1 else 8)) * _F32_UNIT * size + nf * _F32_FLOOR
+    return np.where(size <= _F32_SAFE, bound, np.inf)
 
 
 @dataclass
@@ -207,21 +220,62 @@ class _KNN:
 
     def predict(self, X):
         """Each row's k nearest training rows, ties to the lower index, in
-        blocks of `_KNN_BLOCK` query rows.
+        blocks of `_KNN_BLOCK` query rows, from a float32 screen.
 
-        A block's k-th smallest distance comes from `np.partition`; every
-        row below it is kept, and the lowest-index rows equal to it fill
-        the k.  A stable sort of those by distance gives the order of
-        `argsort(kind="stable")[:k]`, so predictions equal the one-row loop.
+        The screen of a query row q and a training row x is the sequential
+        float32 sum over features of |x_j - q_j| (p=1) or (x_j - q_j)**2
+        (p=2), with x and q rounded to float32.  Its key K is the float64 sum
+        of the same terms, as the distances below add them: the distance for
+        p=1, its square for p=2.  Take u = 2**-24, a = 2**-149 (the float32
+        subnormal step), s_j = max |x_j| over the training rows + |q_j|, and
+        B = sum s_j (p=1) or sum s_j**2 (p=2).  Then, up to O(u**2) B:
+        - rounding x and q to float32 errs by at most u|x| + a each, and the
+          float32 subtraction by u of its result (a subnormal difference is
+          exact), so a term |x_j - q_j| errs by at most 2u s_j + 2a;
+        - squaring it for p=2, its own rounding and underflow included, gives
+          at most 6u s_j**2 + 2a;
+        - the sequential float32 sum of nf non-negative terms errs by at most
+          (nf - 1) u of their total, and is exact below the normal range;
+        - K errs from the real sum by at most (nf + 2) 2**-53 of it.
+        So |screen - K| <= E0, with E0 = (nf + 1) u B + 2 nf a for p=1 and
+        (nf + 5) u B + 2 nf a for p=2.  For p=2 two keys whose square roots
+        round to one distance also differ by at most 2**-50 B.  The bound
+        that `_screen_bound` gives, E = (nf + 3) u B + nf 2**-146 for p=1 and
+        (nf + 8) u B + nf 2**-146 for p=2, exceeds E0 + 2**-51 B with room for
+        its own rounding while nf u << 1.  With B <= 2**126 no float32 step
+        can overflow; above it, or for a NaN, E is infinite.
+
+        Let S_k and K_k be the k-th smallest screen and key.  The k rows of
+        smallest screen have K <= S_k + E0, so K_k <= S_k + E0.  A row that
+        the selection can keep has a distance no larger than the k-th, so
+        K <= K_k (for p=2, K <= K_k + 2**-50 B), and its screen is at most
+        S_k + 2E.  The candidates `~(screen > S_k + 2E)` (true for a NaN
+        screen) thus hold every such row.  They get the float64 distances of
+        the one-row loop; every other row's distance counts as +inf, above the
+        k-th, so the selection keeps the same rows with the same distances.
+
+        The k-th smallest candidate distance of each row comes from
+        `np.partition`; every row below it is kept, and the lowest-index rows
+        equal to it fill the k.  A stable sort of those by distance gives the
+        order of `argsort(kind="stable")[:k]`, so predictions equal the
+        one-row loop.
         """
         out = np.empty(X.shape[0])
         k = self.k
         for start in range(0, X.shape[0], _KNN_BLOCK):
-            diff = self.X_train[None] - X[start : start + _KNN_BLOCK, None]
+            q = X[start : start + _KNN_BLOCK]
+            rows, cols = self._candidates(q)
+            # candidates in ascending index order, left-aligned in each row
+            counts = np.bincount(rows, minlength=q.shape[0])
+            slots = np.arange(rows.size) - np.repeat(np.cumsum(counts) - counts, counts)
+            index = np.zeros((q.shape[0], counts.max()), dtype=np.intp)
+            index[rows, slots] = cols
+            diff = self.X_train[cols] - q[rows]
+            dist = np.full(index.shape, np.inf)
             if self.p == 1:
-                dist = np.abs(diff, out=diff).sum(axis=2)
+                dist[rows, slots] = np.abs(diff, out=diff).sum(axis=1)
             else:
-                dist = np.sqrt(np.square(diff, out=diff).sum(axis=2))
+                dist[rows, slots] = np.sqrt(np.square(diff, out=diff).sum(axis=1))
             kth = np.partition(dist, k - 1, axis=1)[:, k - 1 : k]
             below, equal = dist < kth, dist == kth
             fill = k - below.sum(axis=1, keepdims=True)
@@ -230,7 +284,7 @@ class _KNN:
             d = np.take_along_axis(dist, nearest, axis=1)
             order = np.take_along_axis(nearest, np.argsort(d, axis=1, kind="stable"), axis=1)
             d = np.take_along_axis(dist, order, axis=1)
-            targets = self.y_train[order]
+            targets = self.y_train[np.take_along_axis(index, order, axis=1)]
             block = out[start : start + _KNN_BLOCK]
             if self.weights == "uniform":
                 block[:] = targets.mean(axis=1)
@@ -240,3 +294,23 @@ class _KNN:
                 for i in np.flatnonzero((d == 0.0).any(axis=1)):
                     block[i] = targets[i][d[i] == 0.0].mean()
         return out
+
+    def _candidates(self, q):
+        """(query row, training row) of every pair that the screen of the
+        query rows `q` keeps, in row-major order."""
+        k = self.k
+        # a float32 overflow or NaN only makes E infinite: no warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            xt = self.X_train.T.astype(np.float32)
+            q32 = q.astype(np.float32)
+            screen = np.zeros((q.shape[0], xt.shape[1]), dtype=np.float32)
+            term = np.empty_like(screen)
+            for j in range(xt.shape[0]):
+                np.subtract(xt[j], q32[:, j, None], out=term)
+                if self.p == 1:
+                    screen += np.abs(term, out=term)
+                else:
+                    screen += np.square(term, out=term)
+            bound = _screen_bound(np.abs(self.X_train).max(axis=0) + np.abs(q), self.p)
+            limit = np.partition(screen, k - 1, axis=1)[:, k - 1] + 2.0 * bound
+            return np.nonzero(~(screen > limit[:, None]))

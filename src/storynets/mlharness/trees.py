@@ -5,7 +5,12 @@ Trees are stored as flat arrays (feature, threshold, child indices, leaf
 value) so batched prediction is a few vectorised index hops.
 
 Fitting is presorted CART.  `fit_tree` stable-sorts every feature column
-once; `order` holds, per feature, the tree's rows in that order.  A split
+once; `order` holds, per feature, the tree's rows in that order.  It sorts
+`rank_codes`, each column's dense ranks, not the floats: an ensemble ranks
+its whole design once and hands each tree `codes[:, idx]` for that tree's
+bootstrap or subsample rows.  Equal values share a code, so a stable sort
+of the codes in `idx` order is the stable float sort of `X[idx]`, ties in
+`idx` position order; numpy sorts 16-bit codes with a radix sort.  A split
 partitions `order` between the children, which keeps each feature's rows
 sorted, so no node sorts again.  The rows of a node (`idx`) stay ascending,
 which makes a node's order the same as a stable sort of its own rows.  A
@@ -70,10 +75,9 @@ class _TreeBuilder:
             return np.arange(n_features)
         return self.rng.choice(n_features, size=m, replace=False)
 
-    def _best_split(self, idx, order):
-        n = idx.size
-        y_node = self.y[idx]
-        sse_total = float(np.sum(y_node**2) - np.sum(y_node) ** 2 / n)
+    def _best_split(self, order, y_node, total):
+        n = y_node.size
+        sse_total = float(np.sum(y_node**2) - total**2 / n)
         cands = self._candidate_features()
         rows = order[cands]
         xs = self.xt[rows + self.n_total * cands[:, None]]
@@ -101,18 +105,19 @@ class _TreeBuilder:
     def build(self, idx, order, depth):
         node = self._new_node()
         y_node = self.y[idx]
-        self.value[node] = float(y_node.mean())
+        total = np.add.reduce(y_node)
+        self.value[node] = float(total / idx.size)  # the bits of y_node.mean()
         if (
             (self.max_depth is not None and depth >= self.max_depth)
             or idx.size < 2 * self.min_samples_leaf
-            or np.all(y_node == y_node[0])
+            or y_node.min() == y_node.max()
         ):
             return node
-        split = self._best_split(idx, order)
+        split = self._best_split(order, y_node, total)
         if split is None:
             return node
         f, thresh = split
-        go_left = self.X[:, f] <= thresh
+        go_left = self.xt[f * self.n_total : (f + 1) * self.n_total] <= thresh
         idx_left = go_left[idx]
         # each feature row of `order` keeps its sorted order on both sides
         order_left = go_left[order].ravel()
@@ -135,8 +140,27 @@ class _TreeBuilder:
         )
 
 
+def rank_codes(X):
+    """Feature-major dense ranks of each column of X: equal values (-0.0 and
+    0.0, or any two NaNs) share a code, and codes rise with the values in
+    the order of a float sort.  uint16 below 65,536 rows, so that a stable
+    argsort of the codes is a radix sort."""
+    xt = np.asarray(X, dtype=float).T
+    order = np.argsort(xt, axis=1, kind="stable")
+    ranked = np.take_along_axis(xt, order, axis=1)
+    step = ranked[:, 1:] != ranked[:, :-1]
+    step &= ~(np.isnan(ranked[:, 1:]) & np.isnan(ranked[:, :-1]))
+    dense = np.zeros(xt.shape, dtype=np.uint16 if xt.shape[1] < 2**16 else np.uint32)
+    np.cumsum(step, axis=1, out=dense[:, 1:])
+    codes = np.empty_like(dense)
+    np.put_along_axis(codes, order, dense, axis=1)
+    return codes
+
+
 def fit_tree(X, y, max_depth=None, min_samples_leaf=1, min_impurity_decrease=0.0,
-             max_features=None, rng=None):
+             max_features=None, rng=None, codes=None):
+    """One CART tree.  `codes`, if given, are `rank_codes` of the rows of X
+    (an ensemble ranks its design once and passes `codes[:, idx]`)."""
     if rng is None:
         rng = np.random.default_rng(0)
     builder = _TreeBuilder(
@@ -148,7 +172,10 @@ def fit_tree(X, y, max_depth=None, min_samples_leaf=1, min_impurity_decrease=0.0
         max_features,
         rng,
     )
-    order = np.argsort(builder.X.T, axis=1, kind="stable")
+    if codes is None:
+        codes = rank_codes(builder.X)
+    # equal codes keep row order, so this is the stable float sort of each column
+    order = np.argsort(codes, axis=1, kind="stable")
     builder.build(np.arange(y.size), order, depth=0)
     return builder.arrays()
 
@@ -195,6 +222,7 @@ def fit_forest(X, y, n_estimators, min_samples_leaf, max_features, bootstrap,
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     n = y.size
+    codes = rank_codes(X)
     tree_seeds = rng.integers(0, 2**63 - 1, size=n_estimators)
     trees = []
     for seed in tree_seeds:
@@ -211,6 +239,7 @@ def fit_forest(X, y, n_estimators, min_samples_leaf, max_features, bootstrap,
                 min_samples_leaf=min_samples_leaf,
                 max_features=max_features,
                 rng=tree_rng,
+                codes=codes[:, idx],
             )
         )
     return TreeEnsemble(trees, divisor=len(trees))
@@ -225,6 +254,7 @@ def fit_boosting(X, y, n_estimators, learning_rate, max_depth, subsample,
     base = float(y.mean())
     residual = y - base
     n_sub = max(1, int(round(subsample * n)))
+    codes = rank_codes(X)
     trees = []
     for _ in range(n_estimators):
         if n_sub < n:
@@ -237,6 +267,7 @@ def fit_boosting(X, y, n_estimators, learning_rate, max_depth, subsample,
             max_depth=max_depth,
             min_samples_leaf=min_samples_leaf,
             rng=rng,
+            codes=codes[:, idx],
         )
         tree.value *= learning_rate
         residual -= predict_tree(tree, X)

@@ -609,6 +609,30 @@ def test_manifests_list_every_file_of_the_run(tmp_path, monkeypatch, capsys):
     assert "run the 'spread' stage first" in capsys.readouterr().err
 
 
+
+def test_report_manifest_lists_the_builder_comparison(tmp_path, monkeypatch):
+    """`report` names builder_comparison.csv in report.txt only when the file
+    exists, so its manifest lists the file as an input exactly then."""
+    subprocess.run(
+        [sys.executable, str(DEMO_SCRIPT), "."], cwd=tmp_path, check=True, capture_output=True
+    )
+    monkeypatch.chdir(tmp_path)
+    for stage in cli.STAGES:
+        assert main([stage, "--config", "run.ini"]) == 0, stage
+
+    def report_inputs():
+        record = json.loads(Path("out/manifest_report.json").read_text(encoding="utf-8"))
+        return {Path(p).name: digest for p, digest in record["inputs"].items()}
+
+    comparison = Path("out/builder_comparison.csv")
+    assert report_inputs()["builder_comparison.csv"] == cli._file_digest(comparison)
+    assert "builder comparison table" in Path("out/report.txt").read_text(encoding="utf-8")
+    comparison.unlink()
+    assert main(["report", "--config", "run.ini"]) == 0
+    assert "builder_comparison.csv" not in report_inputs()
+    assert "builder comparison table" not in Path("out/report.txt").read_text(encoding="utf-8")
+
+
 class TestExitCodes:
     def test_missing_stories_csv_is_bad_input(self, tmp_path):
         assert main([

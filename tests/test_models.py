@@ -15,6 +15,7 @@ from storynets.mlharness import (
     fit,
     predict_matrix,
 )
+from storynets.mlharness import models, trees
 from storynets.mlharness.trees import fit_tree
 
 
@@ -215,6 +216,78 @@ class TestKNN:
         np.testing.assert_allclose(model.scaler.scale, X.std(axis=0))
 
 
+def screen_designs():
+    """(name, training design, queries) on which the float32 screen of
+    `_KNN.predict` alone would keep the wrong rows."""
+    ulp = 2.0**-52
+    steps = np.array([5, 3, 3, 1, 0, 2, 4, 0, 6], dtype=float)  # nearest last, with ties
+    # exact distances one float64 ulp apart: float32 rounds all rows to one value
+    ulp_apart = np.column_stack([1.0 + steps * ulp, np.full(steps.size, 0.5)])
+    # rows whose rounding to float32 reverses the order of their exact distances
+    e = 2.0**-23  # float32 spacing at 1
+    reversed_ = np.array([
+        [1 + 1.4 * e, 1.0], [1 + 0.6 * e, 1 + 0.6 * e], [1 + 1.3 * e, 1 + 0.2 * e],
+        [1 + 0.55 * e, 1 + 0.7 * e], [1 + 0.6 * e, 1 + 0.6 * e], [1.0, 1 + 1.45 * e],
+    ])
+    # 3.5e38 and 1e39 overflow float32; the row at 3.5e38 is the nearest to 3.3e38
+    big = np.array([[2e38, 1.0], [1e39, 1.0], [3.5e38, 1.0], [1e39 + 2.0**77, 1.0],
+                    [1e39 - 2.0**77, 1.0], [-3e38, 1.0], [3.5e38, 1.0 + ulp]])
+    # float32 subnormals: 2**-149 apart, and 1e-40 is ~71,000 of them
+    d = 2.0**-149
+    a = 71362 * d
+    tiny = np.array([
+        [a + 1.4 * d, a], [a + 0.6 * d, a + 0.6 * d], [a + 1.3 * d, a + 0.2 * d],
+        [a + 0.6 * d, a + 0.6 * d], [a * (1 + 3 * ulp), a], [a * (1 + ulp), a],
+        [a, a * (1 + 2 * ulp)], [0.0, 2 * a],
+    ])
+    return [
+        ("ulp_apart", ulp_apart, np.array([[0.0, 0.5], [2.0, 0.5], [1.0, 0.5]])),
+        ("reversed", reversed_, np.array([[0.0, 0.0], [2.0, 2.0 + 2 * e]])),
+        ("overflow", big, np.array([[3.3e38, 1.0], [1e39, 1.0], [0.0, 1.0], [-1e39, 0.0]])),
+        ("subnormal", tiny, np.array([[0.0, 0.0], [2 * a, 2 * a], [a, 0.0]])),
+        ("subnormal_squares", tiny * 1e20, np.array([[0.0, 0.0], [2e20 * a, 2e20 * a]])),
+    ]
+
+
+def screen_mismatches():
+    """The cases (design, p, weights, k) where `_KNN.predict` differs from the
+    one-row reference by a single byte."""
+    found = []
+    for name, X, queries in screen_designs():
+        y = np.arange(1.0, X.shape[0] + 1.0) ** 2
+        for p in (1, 2):
+            for weights in ("distance", "uniform"):
+                for k in (1, X.shape[0]):
+                    knn = models._KNN(X, y, k, weights, p)
+                    expected = knn_predict_reference(knn, queries)
+                    if knn.predict(queries).tobytes() != expected.tobytes():
+                        found.append((name, p, weights, k))
+    return found
+
+
+class TestKNNScreen:
+    def test_screen_keeps_the_exact_neighbours(self):
+        assert screen_mismatches() == []
+
+    def test_a_bound_100_times_too_small_is_caught(self, monkeypatch):
+        bound = models._screen_bound
+        monkeypatch.setattr(models, "_screen_bound", lambda reach, p: bound(reach, p) / 100)
+        found = screen_mismatches()
+        assert {name for name, *_ in found} >= {"reversed", "subnormal"}
+
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_screen_leaves_few_exact_distances(self, p):
+        # on spread-out rows the screen rules out all but a handful of rows
+        # per query, and never leaves fewer than k
+        rng = np.random.default_rng(p)
+        X = rng.normal(size=(500, 6))
+        knn = models._KNN(X, rng.normal(size=500), 5, "distance", p)
+        queries = rng.normal(size=(70, 6))
+        rows, _ = knn._candidates(queries[:64])
+        counts = np.bincount(rows, minlength=64)
+        assert counts.min() >= 5 and counts.max() < 50
+        assert knn.predict(queries).tobytes() == knn_predict_reference(knn, queries).tobytes()
+
 class TestTreesRawFeatures:
     def test_tree_models_are_scale_free(self):
         rng = np.random.default_rng(9)
@@ -298,6 +371,114 @@ def test_fit_tree_matches_reference_on_integer_grids(cells, min_samples_leaf, ma
     y = X[:, 0] * 0.1 - X[:, 2] * 0.7 + (X[:, 1] > 1) * 0.3
     assert_same_fit(X, y, seed=seed, min_samples_leaf=min_samples_leaf,
                     max_features=max_features)
+
+
+
+def assert_same_tree(fast, ref):
+    for field in ("feature", "threshold", "left", "right", "value"):
+        assert getattr(fast, field).tobytes() == getattr(ref, field).tobytes(), field
+
+
+def forest_reference_trees(X, y, seed, n_estimators, **kwargs):
+    """Each forest tree from `fit_tree_reference` on its bootstrap rows, drawn
+    from the generators `fit_forest` uses."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for tree_seed in rng.integers(0, 2**63 - 1, size=n_estimators):
+        tree_rng = np.random.default_rng(int(tree_seed))
+        idx = tree_rng.integers(0, y.size, size=y.size)
+        out.append(fit_tree_reference(X[idx], y[idx], rng=tree_rng, **kwargs))
+    return out
+
+
+def boosting_reference_trees(X, y, seed, n_estimators, learning_rate, subsample, **kwargs):
+    """Each boosting tree from `fit_tree_reference` on its subsample of the
+    running residual, drawn from the generator `fit_boosting` uses."""
+    rng = np.random.default_rng(seed)
+    residual = y - y.mean()
+    n_sub = max(1, int(round(subsample * y.size)))
+    out = []
+    for _ in range(n_estimators):
+        idx = rng.permutation(y.size)[:n_sub] if n_sub < y.size else np.arange(y.size)
+        tree = fit_tree_reference(X[idx], residual[idx], rng=rng, **kwargs)
+        tree.value *= learning_rate
+        residual -= trees.predict_tree(tree, X)
+        out.append(tree)
+    return out
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    cells=st.lists(st.integers(0, 3), min_size=24, max_size=120),
+    min_samples_leaf=st.integers(1, 4),
+    max_features=st.sampled_from([0.5, 0.7, 1.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_forest_trees_match_reference_on_integer_grids(cells, min_samples_leaf, max_features,
+                                                       seed):
+    X = np.asarray(cells[: len(cells) // 4 * 4], dtype=float).reshape(-1, 4)
+    y = X[:, 0] * 0.1 - X[:, 2] * 0.7 + (X[:, 1] > 1) * 0.3
+    kwargs = dict(max_depth=None, min_samples_leaf=min_samples_leaf, max_features=max_features)
+    forest = trees.fit_forest(X, y, n_estimators=4, bootstrap=True,
+                              rng=np.random.default_rng(seed), **kwargs)
+    for fast, ref in zip(forest.trees, forest_reference_trees(X, y, seed, 4, **kwargs),
+                         strict=True):
+        assert_same_tree(fast, ref)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    cells=st.lists(st.integers(0, 3), min_size=24, max_size=120),
+    min_samples_leaf=st.integers(1, 4),
+    subsample=st.sampled_from([0.5, 0.7, 1.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_boosting_trees_match_reference_on_integer_grids(cells, min_samples_leaf, subsample,
+                                                         seed):
+    X = np.asarray(cells[: len(cells) // 4 * 4], dtype=float).reshape(-1, 4)
+    y = X[:, 0] * 0.1 - X[:, 2] * 0.7 + (X[:, 1] > 1) * 0.3
+    kwargs = dict(n_estimators=6, learning_rate=0.1, subsample=subsample, max_depth=2,
+                  min_samples_leaf=min_samples_leaf)
+    boosted = trees.fit_boosting(X, y, rng=np.random.default_rng(seed), **kwargs)
+    for fast, ref in zip(boosted.trees, boosting_reference_trees(X, y, seed, **kwargs),
+                         strict=True):
+        assert_same_tree(fast, ref)
+
+
+@pytest.mark.parametrize("data_seed", range(3))
+def test_ensemble_trees_match_reference_on_tied_designs(data_seed):
+    X, y = tied_design(data_seed, n=120)
+    forest_kwargs = dict(max_depth=None, min_samples_leaf=3, max_features=0.7)
+    forest = trees.fit_forest(X, y, n_estimators=5, bootstrap=True,
+                              rng=np.random.default_rng(data_seed), **forest_kwargs)
+    for fast, ref in zip(forest.trees,
+                         forest_reference_trees(X, y, data_seed, 5, **forest_kwargs)):
+        assert_same_tree(fast, ref)
+    boosting_kwargs = dict(n_estimators=8, learning_rate=0.05, subsample=0.7, max_depth=3,
+                           min_samples_leaf=2)
+    boosted = trees.fit_boosting(X, y, rng=np.random.default_rng(data_seed), **boosting_kwargs)
+    for fast, ref in zip(boosted.trees,
+                         boosting_reference_trees(X, y, data_seed, **boosting_kwargs)):
+        assert_same_tree(fast, ref)
+
+
+class TestRankCodes:
+    def test_signed_zeros_share_one_code(self):
+        codes = trees.rank_codes(np.array([[0.0], [-0.0], [1.0], [-1.0], [0.0]]))
+        assert codes.tolist() == [[1, 1, 2, 0, 1]]
+
+    def test_dense_ranks_in_float_sort_order(self):
+        rng = np.random.default_rng(3)
+        X = rng.integers(-3, 4, size=(200, 3)) * 0.5
+        X[::7, 1] = np.nan
+        codes = trees.rank_codes(X)
+        assert codes.dtype == np.uint16 and codes.shape == (3, 200)
+        for j in range(3):
+            _, inverse = np.unique(X[:, j], return_inverse=True, equal_nan=True)
+            assert codes[j].tolist() == inverse.ravel().tolist()
+            idx = rng.integers(0, 200, size=200)
+            assert np.array_equal(np.argsort(codes[j][idx], kind="stable"),
+                                  np.argsort(X[idx, j], kind="stable"))
 
 
 # sha256 of the float64 predictions below, taken from the code as committed;
