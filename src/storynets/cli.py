@@ -45,7 +45,7 @@ from .mlharness import (
     shapley_attribution,
 )
 from .mlharness.features import EMOTION_FEATURE_NAMES, FEATURE_CONFIGS
-from .mlharness.models import MODEL_KINDS
+from .mlharness.models import MODEL_KINDS, min_training_rows
 from .mlharness.shapley import MIN_SAMPLES
 from .netbuild import BUILDER_TAGS
 from .seeding import derive_seed
@@ -440,6 +440,8 @@ def _network_from_json(line):
     r = json.loads(line)
     if r["builder"] not in BUILDER_TAGS:
         raise ValueError(f"unknown builder {r['builder']!r}")
+    if not isinstance(r["nodes"], list):
+        raise ValueError(f"nodes {r['nodes']!r} are not a list")
     net = netbuild.LexicalNetwork(r["nodes"], r["edges"], r["builder"], r.get("valence", {}))
     return (r["story_id"], r["builder"]), net
 
@@ -591,6 +593,15 @@ def cmd_evaluate(run):
         raise InputFormatError(
             f"folds={config.folds} exceeds the {smallest} rows of the smallest feature table"
         )
+    # the largest test fold holds ceil(n / folds) rows
+    training = smallest - math.ceil(smallest / config.folds)
+    for kind in config.models:
+        if training < min_training_rows(kind):
+            raise InputFormatError(
+                f"{kind} needs at least {min_training_rows(kind)} training rows, but "
+                f"{config.folds} folds of the smallest feature table ({smallest} rows) "
+                f"leave {training}"
+            )
     results = run_matrix(
         features,
         config.targets,
@@ -683,21 +694,30 @@ def _retention_finding(run):
     return f"{head}: " + ("identical" if diff == 0 else f"largest absolute difference {diff:.3g}")
 
 
-_RESULT_FIELDS = ("target", "builder", "config", "model", "mae", "spearman", "pearson",
-                  "permuted")
+_RESULT_FIELDS = {
+    **dict.fromkeys(("target", "builder", "config", "model"), str),
+    **dict.fromkeys(("mae", "spearman", "pearson"), (int, float)),
+    "permuted": bool,
+}
 
 
 def _read_results(path):
     """The result rows of `results.json`; a row without one of the fields the
-    report reads is bad input."""
+    report reads, or with one of the wrong type, is bad input."""
     try:
         results = json.loads(path.read_text(encoding="utf-8"))["results"]
         for i, row in enumerate(results):
             if not isinstance(row, dict):
                 raise InputFormatError(f"{path}: result row {i} is not an object")
-            missing = [name for name in _RESULT_FIELDS if name not in row]
-            if missing:
-                raise InputFormatError(f"{path}: result row {i} has no field {missing[0]!r}")
+            for name, types in _RESULT_FIELDS.items():
+                if name not in row:
+                    raise InputFormatError(f"{path}: result row {i} has no field {name!r}")
+                value = row[name]
+                # a bool is an int, but no number field holds one
+                if not isinstance(value, types) or (isinstance(value, bool) and types is not bool):
+                    raise InputFormatError(
+                        f"{path}: result row {i} field {name!r} has the wrong type: {value!r}"
+                    )
     except (KeyError, TypeError, ValueError) as exc:
         raise InputFormatError(f"{path}: {exc!r}") from None
     return results

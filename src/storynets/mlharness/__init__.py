@@ -16,7 +16,6 @@ from .features import (
     FeatureTable,
 )
 from .models import (
-    DEFAULT_HYPERPARAMETERS,
     MODEL_KINDS,
     ModelSpec,
     SingularDesignWarning,
@@ -28,7 +27,6 @@ from .shapley import ShapleyResult, attribution_rows, shapley_attribution
 
 __all__ = [
     "ALPHA_FEATURE_NAMES",
-    "DEFAULT_HYPERPARAMETERS",
     "EMOTION_FEATURE_NAMES",
     "FEATURE_CONFIGS",
     "MODEL_KINDS",

@@ -1,10 +1,14 @@
-"""The five regression models behind one fit/predict surface.
+"""The five regression models behind one fit/predict surface, each at the
+paper's one configuration.
 
-Linear least squares (ridge fallback on singular designs), distance-
-weighted k-NN, a depth-limited decision tree, a bootstrap random forest
-and least-squares gradient boosting.  Features are z-scaled on the
-training rows for the linear and k-NN models; tree models consume raw
-features.
+Exact least squares (a ridge of 1e-8 on a singular design), k-NN over the
+15 nearest training rows in Manhattan distance, weighted by inverse
+distance, a decision tree of depth 4, a bootstrap random forest of 500
+trees and least-squares gradient boosting of 800 rounds.  Each setting is
+a constant where it is used; the one hyperparameter a `ModelSpec` takes is
+`n_estimators`, the tree count of the forest and of boosting.  Features
+are z-scaled on the training rows for the linear and k-NN models; tree
+models consume raw features.
 """
 
 from __future__ import annotations
@@ -18,26 +22,7 @@ from . import trees
 
 MODEL_KINDS = ("linear", "knn", "decision_tree", "random_forest", "gradient_boosting")
 
-DEFAULT_HYPERPARAMETERS = {
-    "linear": {"ridge_lambda": 0.0},
-    "knn": {"n_neighbors": 15, "weights": "distance", "p": 1},
-    "decision_tree": {"max_depth": 4, "min_samples_leaf": 3, "min_impurity_decrease": 0.001},
-    "random_forest": {
-        "n_estimators": 500,
-        "min_samples_leaf": 5,
-        "max_features": 0.7,
-        "bootstrap": True,
-        "max_depth": None,
-    },
-    "gradient_boosting": {
-        "n_estimators": 800,
-        "learning_rate": 0.01,
-        "max_depth": 2,
-        "subsample": 0.7,
-        "min_samples_leaf": 3,
-    },
-}
-
+_KNN_NEIGHBOURS = 15
 _SCALED_KINDS = frozenset({"linear", "knn"})
 
 
@@ -47,6 +32,10 @@ class SingularDesignWarning(RuntimeWarning):
 
 @dataclass(frozen=True)
 class ModelSpec:
+    """A model kind, its `n_estimators` (random_forest and gradient_boosting
+    only; their defaults are `trees.fit_forest`'s and `trees.fit_boosting`'s)
+    and the seed of its random draws."""
+
     kind: str
     hyperparameters: dict = field(default_factory=dict)
     rng_seed: int = 0
@@ -54,45 +43,16 @@ class ModelSpec:
     def __post_init__(self):
         if self.kind not in MODEL_KINDS:
             raise ValueError(f"unknown model kind {self.kind!r}")
-        merged = dict(DEFAULT_HYPERPARAMETERS[self.kind])
         for key, value in self.hyperparameters.items():
-            if key not in merged:
+            if key != "n_estimators" or self.kind not in ("random_forest", "gradient_boosting"):
                 raise ValueError(f"unknown hyperparameter {key!r} for {self.kind}")
-            merged[key] = value
-        _validate_hyperparameters(self.kind, merged)
-        object.__setattr__(self, "hyperparameters", merged)
+            if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < 1:
+                raise ValueError("n_estimators must be an int >= 1")
 
 
-def _validate_hyperparameters(kind, hp):
-    if kind == "linear":
-        if hp["ridge_lambda"] < 0:
-            raise ValueError("ridge_lambda must be >= 0")
-    elif kind == "knn":
-        if hp["n_neighbors"] < 1:
-            raise ValueError("n_neighbors must be >= 1")
-        if hp["weights"] not in ("distance", "uniform"):
-            raise ValueError("weights must be 'distance' or 'uniform'")
-        if hp["p"] not in (1, 2):
-            raise ValueError("p must be 1 (Manhattan) or 2 (Euclidean)")
-    elif kind in ("decision_tree", "random_forest", "gradient_boosting"):
-        if not _is_int(hp["min_samples_leaf"]) or hp["min_samples_leaf"] < 1:
-            raise ValueError("min_samples_leaf must be an int >= 1")
-        if hp["max_depth"] is not None and (not _is_int(hp["max_depth"]) or hp["max_depth"] < 1):
-            raise ValueError("max_depth must be None or an int >= 1")
-        if kind != "decision_tree" and (not _is_int(hp["n_estimators"]) or hp["n_estimators"] < 1):
-            raise ValueError("n_estimators must be an int >= 1")
-        if kind == "decision_tree" and not hp["min_impurity_decrease"] >= 0:
-            raise ValueError("min_impurity_decrease must be >= 0")
-        if kind == "gradient_boosting" and not hp["learning_rate"] > 0:
-            raise ValueError("learning_rate must be > 0")
-        if kind == "gradient_boosting" and not 0 < hp["subsample"] <= 1:
-            raise ValueError("subsample must lie in (0, 1]")
-        if kind == "random_forest" and not 0 < hp["max_features"] <= 1:
-            raise ValueError("max_features must lie in (0, 1]")
-
-
-def _is_int(value):
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+def min_training_rows(kind):
+    """The fewest training rows `fit` accepts for a model kind."""
+    return _KNN_NEIGHBOURS if kind == "knn" else 5
 
 
 @dataclass
@@ -123,9 +83,7 @@ class TrainedModel:
 def fit(spec, table):
     """Train `spec` on a FeatureTable; scaling statistics come from its rows only."""
     X, y = table.X, table.y
-    minimum = 5
-    if spec.kind == "knn":
-        minimum = max(minimum, spec.hyperparameters["n_neighbors"])
+    minimum = min_training_rows(spec.kind)
     if X.shape[0] < minimum:
         raise ValueError(
             f"{spec.kind} needs at least {minimum} training rows, got {X.shape[0]}"
@@ -133,17 +91,18 @@ def fit(spec, table):
     scaler = Scaler.fit(X) if spec.kind in _SCALED_KINDS else None
     X_in = scaler.transform(X) if scaler is not None else X
     rng = np.random.default_rng(spec.rng_seed)
-    hp = spec.hyperparameters
     if spec.kind == "linear":
-        estimator = _fit_linear(X_in, y, hp["ridge_lambda"], scaler)
+        estimator = _fit_linear(X_in, y, scaler)
     elif spec.kind == "knn":
-        estimator = _KNN(X_in, y, hp["n_neighbors"], hp["weights"], hp["p"])
+        estimator = _KNN(X_in, y, _KNN_NEIGHBOURS)
     elif spec.kind == "decision_tree":
-        estimator = trees.TreeEnsemble([trees.fit_tree(X_in, y, **hp)])
+        estimator = trees.TreeEnsemble([
+            trees.fit_tree(X_in, y, max_depth=4, min_samples_leaf=3, min_impurity_decrease=0.001)
+        ])
     elif spec.kind == "random_forest":
-        estimator = trees.fit_forest(X_in, y, rng=rng, **hp)
+        estimator = trees.fit_forest(X_in, y, rng, **spec.hyperparameters)
     else:
-        estimator = trees.fit_boosting(X_in, y, rng=rng, **hp)
+        estimator = trees.fit_boosting(X_in, y, rng, **spec.hyperparameters)
     return TrainedModel(
         spec=spec, feature_names=table.names, estimator=estimator, scaler=scaler, background=X
     )
@@ -166,28 +125,22 @@ class _LinearEstimator:
         return X @ self.weights[:-1] + self.weights[-1]
 
 
-def _fit_linear(X_scaled, y, ridge_lambda, scaler):
+def _fit_linear(X_scaled, y, scaler):
+    """Exact least squares, or a ridge of 1e-8 (intercept unpenalised) with a
+    warning where the design is singular."""
     n, f = X_scaled.shape
     design = np.hstack([X_scaled, np.ones((n, 1))])
-    lam = ridge_lambda
-    if lam == 0.0:
-        if np.linalg.matrix_rank(design) < design.shape[1]:
-            warnings.warn(
-                "singular design for exact least squares; falling back to ridge 1e-8",
-                SingularDesignWarning,
-                stacklevel=3,
-            )
-            lam = 1e-8
-        else:
-            weights, *_ = np.linalg.lstsq(design, y, rcond=None)
-            return _finish_linear(weights, scaler)
-    penalty = np.eye(f + 1) * lam
-    penalty[f, f] = 0.0  # intercept unpenalised
-    weights = np.linalg.solve(design.T @ design + penalty, design.T @ y)
-    return _finish_linear(weights, scaler)
-
-
-def _finish_linear(weights, scaler):
+    if np.linalg.matrix_rank(design) < design.shape[1]:
+        warnings.warn(
+            "singular design for exact least squares; falling back to ridge 1e-8",
+            SingularDesignWarning,
+            stacklevel=3,
+        )
+        penalty = np.eye(f + 1) * 1e-8
+        penalty[f, f] = 0.0
+        weights = np.linalg.solve(design.T @ design + penalty, design.T @ y)
+    else:
+        weights, *_ = np.linalg.lstsq(design, y, rcond=None)
     coef_scaled = weights[:-1]
     coef = coef_scaled / scaler.scale
     intercept = float(weights[-1] - np.sum(coef_scaled * scaler.mean / scaler.scale))
@@ -200,13 +153,13 @@ _F32_FLOOR = 2.0**-146  # absolute term per feature: float32 subnormals are 2**-
 _F32_SAFE = 2.0**126  # below this no float32 step of the screen overflows
 
 
-def _screen_bound(reach, p):
+def _screen_bound(reach):
     """E for each query row, from `reach[:, j]` = max |x_j| over the training
     rows + |q_j|: see `_KNN.predict`.  Infinite where the screen could
     overflow or B is NaN."""
     nf = reach.shape[1]
-    size = (reach if p == 1 else reach**2).sum(axis=1)
-    bound = (nf + (3 if p == 1 else 8)) * _F32_UNIT * size + nf * _F32_FLOOR
+    size = reach.sum(axis=1)
+    bound = (nf + 3) * _F32_UNIT * size + nf * _F32_FLOOR
     return np.where(size <= _F32_SAFE, bound, np.inf)
 
 
@@ -215,44 +168,38 @@ class _KNN:
     X_train: np.ndarray
     y_train: np.ndarray
     k: int
-    weights: str
-    p: int
 
     def predict(self, X):
-        """Each row's k nearest training rows, ties to the lower index, in
-        blocks of `_KNN_BLOCK` query rows, from a float32 screen.
+        """Each row's k nearest training rows in Manhattan distance, ties to
+        the lower index, weighted by inverse distance (the mean of the rows at
+        distance 0 where there are any), in blocks of `_KNN_BLOCK` query rows,
+        from a float32 screen.
 
         The screen of a query row q and a training row x is the sequential
-        float32 sum over features of |x_j - q_j| (p=1) or (x_j - q_j)**2
-        (p=2), with x and q rounded to float32.  Its key K is the float64 sum
-        of the same terms, as the distances below add them: the distance for
-        p=1, its square for p=2.  Take u = 2**-24, a = 2**-149 (the float32
-        subnormal step), s_j = max |x_j| over the training rows + |q_j|, and
-        B = sum s_j (p=1) or sum s_j**2 (p=2).  Then, up to O(u**2) B:
+        float32 sum over features of |x_j - q_j|, with x and q rounded to
+        float32.  Its key K is the distance: the float64 sum of the same
+        terms, as the distances below add them.  Take u = 2**-24, a = 2**-149
+        (the float32 subnormal step), s_j = max |x_j| over the training rows
+        + |q_j|, and B = sum s_j.  Then, up to O(u**2) B:
         - rounding x and q to float32 errs by at most u|x| + a each, and the
           float32 subtraction by u of its result (a subnormal difference is
           exact), so a term |x_j - q_j| errs by at most 2u s_j + 2a;
-        - squaring it for p=2, its own rounding and underflow included, gives
-          at most 6u s_j**2 + 2a;
         - the sequential float32 sum of nf non-negative terms errs by at most
           (nf - 1) u of their total, and is exact below the normal range;
         - K errs from the real sum by at most (nf + 2) 2**-53 of it.
-        So |screen - K| <= E0, with E0 = (nf + 1) u B + 2 nf a for p=1 and
-        (nf + 5) u B + 2 nf a for p=2.  For p=2 two keys whose square roots
-        round to one distance also differ by at most 2**-50 B.  The bound
-        that `_screen_bound` gives, E = (nf + 3) u B + nf 2**-146 for p=1 and
-        (nf + 8) u B + nf 2**-146 for p=2, exceeds E0 + 2**-51 B with room for
-        its own rounding while nf u << 1.  With B <= 2**126 no float32 step
-        can overflow; above it, or for a NaN, E is infinite.
+        So |screen - K| <= E0 = (nf + 1) u B + 2 nf a.  The bound that
+        `_screen_bound` gives, E = (nf + 3) u B + nf 2**-146, exceeds E0 with
+        room for its own rounding while nf u << 1.  With B <= 2**126 no
+        float32 step can overflow; above it, or for a NaN, E is infinite.
 
         Let S_k and K_k be the k-th smallest screen and key.  The k rows of
         smallest screen have K <= S_k + E0, so K_k <= S_k + E0.  A row that
         the selection can keep has a distance no larger than the k-th, so
-        K <= K_k (for p=2, K <= K_k + 2**-50 B), and its screen is at most
-        S_k + 2E.  The candidates `~(screen > S_k + 2E)` (true for a NaN
-        screen) thus hold every such row.  They get the float64 distances of
-        the one-row loop; every other row's distance counts as +inf, above the
-        k-th, so the selection keeps the same rows with the same distances.
+        K <= K_k, and its screen is at most S_k + 2E.  The candidates
+        `~(screen > S_k + 2E)` (true for a NaN screen) thus hold every such
+        row.  They get the float64 distances of the one-row loop; every other
+        row's distance counts as +inf, above the k-th, so the selection keeps
+        the same rows with the same distances.
 
         The k-th smallest candidate distance of each row comes from
         `np.partition`; every row below it is kept, and the lowest-index rows
@@ -272,10 +219,7 @@ class _KNN:
             index[rows, slots] = cols
             diff = self.X_train[cols] - q[rows]
             dist = np.full(index.shape, np.inf)
-            if self.p == 1:
-                dist[rows, slots] = np.abs(diff, out=diff).sum(axis=1)
-            else:
-                dist[rows, slots] = np.sqrt(np.square(diff, out=diff).sum(axis=1))
+            dist[rows, slots] = np.abs(diff, out=diff).sum(axis=1)
             kth = np.partition(dist, k - 1, axis=1)[:, k - 1 : k]
             below, equal = dist < kth, dist == kth
             fill = k - below.sum(axis=1, keepdims=True)
@@ -286,13 +230,10 @@ class _KNN:
             d = np.take_along_axis(dist, order, axis=1)
             targets = self.y_train[np.take_along_axis(index, order, axis=1)]
             block = out[start : start + _KNN_BLOCK]
-            if self.weights == "uniform":
-                block[:] = targets.mean(axis=1)
-            else:
-                w = 1.0 / np.where(d == 0.0, 1.0, d)
-                block[:] = np.sum(w * targets, axis=1) / np.sum(w, axis=1)
-                for i in np.flatnonzero((d == 0.0).any(axis=1)):
-                    block[i] = targets[i][d[i] == 0.0].mean()
+            w = 1.0 / np.where(d == 0.0, 1.0, d)
+            block[:] = np.sum(w * targets, axis=1) / np.sum(w, axis=1)
+            for i in np.flatnonzero((d == 0.0).any(axis=1)):
+                block[i] = targets[i][d[i] == 0.0].mean()
         return out
 
     def _candidates(self, q):
@@ -307,10 +248,7 @@ class _KNN:
             term = np.empty_like(screen)
             for j in range(xt.shape[0]):
                 np.subtract(xt[j], q32[:, j, None], out=term)
-                if self.p == 1:
-                    screen += np.abs(term, out=term)
-                else:
-                    screen += np.square(term, out=term)
-            bound = _screen_bound(np.abs(self.X_train).max(axis=0) + np.abs(q), self.p)
+                screen += np.abs(term, out=term)
+            bound = _screen_bound(np.abs(self.X_train).max(axis=0) + np.abs(q))
             limit = np.partition(screen, k - 1, axis=1)[:, k - 1] + 2.0 * bound
             return np.nonzero(~(screen > limit[:, None]))

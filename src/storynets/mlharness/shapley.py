@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .features import FeatureTable
 from .models import predict_matrix
 
 MIN_SAMPLES = 100
@@ -32,20 +31,15 @@ class ShapleyResult:
 def shapley_attribution(model, rows, n_samples=2000, rng_seed=0):
     """Per-row, per-feature attribution matrix for a trained model.
 
-    `rows` is a FeatureTable with the model's feature names or a raw
-    (n_rows, n_features) array in the model's feature order.  The
+    `rows` is a FeatureTable with the model's feature names.  The
     background is the model's training design.
     """
     if n_samples < MIN_SAMPLES:
         raise ValueError(f"n_samples must be >= {MIN_SAMPLES} for a usable estimate")
-    if isinstance(rows, FeatureTable):
-        if rows.names != model.feature_names:
-            raise ValueError("feature table columns differ from the model's features")
-        rows = rows.X
-    X = np.asarray(rows, dtype=float)
+    if rows.names != model.feature_names:
+        raise ValueError("feature table columns differ from the model's features")
+    X = rows.X
     bg = model.background
-    if X.ndim != 2 or X.shape[1] != bg.shape[1]:
-        raise ValueError("rows must be a matrix with the model's feature count")
     n_rows, n_features = X.shape
     rng = np.random.default_rng(rng_seed)
     base_value = float(predict_matrix(model, bg).mean())

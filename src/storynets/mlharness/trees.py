@@ -217,8 +217,10 @@ class TreeEnsemble:
         return total / self.divisor
 
 
-def fit_forest(X, y, n_estimators, min_samples_leaf, max_features, bootstrap,
-               max_depth, rng):
+def fit_forest(X, y, rng, n_estimators=500):
+    """The random forest: `n_estimators` trees, each grown without a depth
+    limit on a bootstrap sample of the rows, with leaves of at least 5 rows
+    and 70% of the features drawn as candidates at each split."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     n = y.size
@@ -227,49 +229,31 @@ def fit_forest(X, y, n_estimators, min_samples_leaf, max_features, bootstrap,
     trees = []
     for seed in tree_seeds:
         tree_rng = np.random.default_rng(int(seed))
-        if bootstrap:
-            idx = tree_rng.integers(0, n, size=n)
-        else:
-            idx = np.arange(n)
+        idx = tree_rng.integers(0, n, size=n)
         trees.append(
-            fit_tree(
-                X[idx],
-                y[idx],
-                max_depth=max_depth,
-                min_samples_leaf=min_samples_leaf,
-                max_features=max_features,
-                rng=tree_rng,
-                codes=codes[:, idx],
-            )
+            fit_tree(X[idx], y[idx], min_samples_leaf=5, max_features=0.7, rng=tree_rng,
+                     codes=codes[:, idx])
         )
     return TreeEnsemble(trees, divisor=len(trees))
 
 
-def fit_boosting(X, y, n_estimators, learning_rate, max_depth, subsample,
-                 min_samples_leaf, rng):
-    """Least-squares gradient boosting on row-subsampled residuals."""
+def fit_boosting(X, y, rng, n_estimators=800):
+    """Least-squares gradient boosting: `n_estimators` rounds, each a tree of
+    depth 2 with leaves of at least 3 rows, fitted to the running residual
+    of a 70% row subsample and shrunk by a learning rate of 0.01."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     n = y.size
     base = float(y.mean())
     residual = y - base
-    n_sub = max(1, int(round(subsample * n)))
+    n_sub = int(round(0.7 * n))
     codes = rank_codes(X)
     trees = []
     for _ in range(n_estimators):
-        if n_sub < n:
-            idx = rng.permutation(n)[:n_sub]
-        else:
-            idx = np.arange(n)
-        tree = fit_tree(
-            X[idx],
-            residual[idx],
-            max_depth=max_depth,
-            min_samples_leaf=min_samples_leaf,
-            rng=rng,
-            codes=codes[:, idx],
-        )
-        tree.value *= learning_rate
+        idx = rng.permutation(n)[:n_sub]
+        tree = fit_tree(X[idx], residual[idx], max_depth=2, min_samples_leaf=3, rng=rng,
+                        codes=codes[:, idx])
+        tree.value *= 0.01
         residual -= predict_tree(tree, X)
         trees.append(tree)
     return TreeEnsemble(trees, base=base)

@@ -207,6 +207,9 @@ class LexicalNetwork:
 
     def __post_init__(self):
         nodes = frozenset(self.nodes)
+        for node in nodes:
+            if not isinstance(node, str):
+                raise ValueError(f"node {node!r} is not a string")
         edges = set()
         for a, b in self.edges:
             if a == b:

@@ -242,17 +242,11 @@ def knn_predict_reference(knn, X):
     """k-NN predictions one query row at a time, neighbours from a full stable argsort."""
     out = np.empty(X.shape[0])
     for i, x in enumerate(X):
-        diff = knn.X_train - x
-        if knn.p == 1:
-            dist = np.abs(diff).sum(axis=1)
-        else:
-            dist = np.sqrt((diff**2).sum(axis=1))
+        dist = np.abs(knn.X_train - x).sum(axis=1)
         order = np.argsort(dist, kind="stable")[: knn.k]
         d = dist[order]
         targets = knn.y_train[order]
-        if knn.weights == "uniform":
-            out[i] = targets.mean()
-        elif np.any(d == 0.0):
+        if np.any(d == 0.0):
             out[i] = targets[d == 0.0].mean()
         else:
             w = 1.0 / d

@@ -220,7 +220,8 @@ def test_criterion_8_shapley_correctness():
         explained = np.sign(coef) * 2.0 * np.ones((3, 6))
         explained[1] *= -1.5
         explained[2, :] = np.sign(coef) * -2.5
-        result = shapley_attribution(model, explained, n_samples=2000, rng_seed=88)
+        result = shapley_attribution(model, rows_from_arrays(explained, np.zeros(3)),
+                                     n_samples=2000, rng_seed=88)
         expected = model.estimator.coef_ * (explained - model.background.mean(axis=0))
         rel_err = np.abs(result.values - expected) / np.abs(expected)
         assert rel_err.max() < 0.05

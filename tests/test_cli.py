@@ -132,6 +132,11 @@ def pipeline(tmp_path_factory):
     return tmp_path, config
 
 
+# a result row that `report` reads without complaint
+RESULT_ROW = {"target": "mean", "builder": "TFMN", "config": "All", "model": "linear",
+              "mae": 0.5, "spearman": 0.25, "pearson": 1, "permuted": False}
+
+
 class TestPipeline:
     def test_preprocess_outputs(self, pipeline):
         tmp_path, _ = pipeline
@@ -274,6 +279,20 @@ class TestPipeline:
         assert "folds=13 exceeds the 12 rows" in capsys.readouterr().err
         assert {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()} == before
 
+    def test_table_too_small_for_a_model_is_bad_input(self, pipeline, tmp_path, capsys):
+        # 12 stories in 2 folds leave 6 training rows: too few for 15 neighbours
+        source, config = pipeline
+        out = tmp_path / "out"
+        shutil.copytree(source / "out", out)
+        before = {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()}
+        argv = ["evaluate", "--config", str(config), "--out-dir", str(out),
+                "--models", "linear,knn"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "error: knn needs at least 15 training rows" in err
+        assert "(12 rows) leave 6" in err and "Traceback" not in err
+        assert {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()} == before
+
     @pytest.mark.parametrize("name", ["features.csv", "stationary_r0.2.csv"])
     @pytest.mark.parametrize("builders", ["TFMN,coocc_WS2", "TFMN"])
     def test_requested_builder_without_rows_is_bad_input(
@@ -310,10 +329,15 @@ class TestPipeline:
             ("spread", "corpus.jsonl", lambda lines: lines[1]),
             ("features", "networks.jsonl", lambda lines: json.dumps(
                 {**json.loads(lines[2]), "builder": "bogus"})),
+            ("features", "networks.jsonl", lambda lines: json.dumps(
+                {**json.loads(lines[2]), "nodes": [*json.loads(lines[2])["nodes"], 7]})),
+            ("spread", "networks.jsonl", lambda lines: json.dumps(
+                {**json.loads(lines[2]), "nodes": "abc", "edges": [], "valence": {}})),
         ],
         ids=["truncated-line", "no-sentences", "edge-outside-nodes", "ratings-not-a-mapping",
              "unsafe-story-id", "head-cycle-at-build", "head-cycle-at-emotions",
-             "repeated-network", "repeated-story", "unknown-builder"],
+             "repeated-network", "repeated-story", "unknown-builder", "node-not-a-string",
+             "nodes-not-a-list"],
     )
     def test_malformed_upstream_json_is_bad_input(
         self, pipeline, tmp_path, capsys, stage, name, damage
@@ -357,7 +381,12 @@ class TestPipeline:
     @pytest.mark.parametrize(
         "payload, named",
         [({"results": [{"target": "mean"}]}, "'builder'"), ({"results": [3]}, "row 0"),
-         ({"best": {}}, "'results'")],
+         ({"best": {}}, "'results'"),
+         ({"results": [RESULT_ROW, {**RESULT_ROW, "spearman": "high"}]}, "row 1 field 'spearman'"),
+         ({"results": [{**RESULT_ROW, "permuted": "no"}]}, "field 'permuted'"),
+         ({"results": [{**RESULT_ROW, "mae": True}]}, "field 'mae'"),
+         ({"results": [{**RESULT_ROW, "pearson": None}]}, "field 'pearson'"),
+         ({"results": [{**RESULT_ROW, "model": 3}]}, "field 'model'")],
     )
     def test_results_row_without_its_fields_is_bad_input(
         self, pipeline, tmp_path, capsys, payload, named

@@ -154,7 +154,7 @@ class TestFoldModels:
     @pytest.mark.parametrize("kind", ["linear", "gradient_boosting"])
     def test_fold_models_reproduce_kfold_predictions(self, kind):
         table, _ = planted_feature_rows(n_rows=50, n_features=4, noise=0.3, rng_seed=14)
-        spec = ModelSpec(kind, SMALL[kind], rng_seed=21)
+        spec = ModelSpec(kind, SMALL.get(kind, {}), rng_seed=21)
         result = kfold_cv(table, spec, k=4, rng_seed=8)
         seen = []
         for fold_idx, test_idx, model in fold_models(table, spec, 4, 8):
@@ -254,7 +254,7 @@ class TestRunMatrix:
                    "Emo+Spread", "All")
         specs = {
             "linear": ModelSpec("linear"),
-            "knn": ModelSpec("knn", {"n_neighbors": 5}),
+            "knn": ModelSpec("knn"),
             "decision_tree": ModelSpec("decision_tree"),
             "random_forest": ModelSpec("random_forest", {"n_estimators": 3}),
             "gradient_boosting": ModelSpec("gradient_boosting", {"n_estimators": 5}),
@@ -298,7 +298,7 @@ class TestRunMatrix:
 
 MATRIX_SPECS = {
     "linear": ModelSpec("linear"),
-    "knn": ModelSpec("knn", {"n_neighbors": 5}),
+    "knn": ModelSpec("knn"),
     "decision_tree": ModelSpec("decision_tree"),
     "random_forest": ModelSpec("random_forest", {"n_estimators": 3}),
     "gradient_boosting": ModelSpec("gradient_boosting", {"n_estimators": 5}),
@@ -345,11 +345,11 @@ class TestRunMatrixWorkers:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_failing_cell_raises_in_the_caller(self, monkeypatch, workers):
-        # 45 rows in 3 folds leave 30 training rows, too few for 40 neighbours
-        specs = {"linear": ModelSpec("linear"), "knn": ModelSpec("knn", {"n_neighbors": 40})}
-        with pytest.raises(ValueError, match="at least 40 training rows"):
-            matrix_with_workers(monkeypatch, workers, small_features(), ["mean"], ["TFMN"],
-                                ["NetStr"], specs, k=3, rng_seed=7)
+        # 21 rows in 3 folds leave 14 training rows, too few for 15 neighbours
+        specs = {"linear": ModelSpec("linear"), "knn": ModelSpec("knn")}
+        with pytest.raises(ValueError, match="knn needs at least 15 training rows, got 14"):
+            matrix_with_workers(monkeypatch, workers, small_features(n_stories=21), ["mean"],
+                                ["TFMN"], ["NetStr"], specs, k=3, rng_seed=7)
 
     def test_worker_count_follows_cpu_affinity(self, monkeypatch):
         monkeypatch.setattr(cv.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)

@@ -31,10 +31,9 @@ def rows_from_arrays(X, y, names=None):
     )
 
 
+# fewer trees than the reference configuration, for speed; the other kinds
+# take no hyperparameter
 SMALL = {
-    "linear": {},
-    "knn": {"n_neighbors": 5},
-    "decision_tree": {},
     "random_forest": {"n_estimators": 25},
     "gradient_boosting": {"n_estimators": 60},
 }
@@ -49,38 +48,37 @@ class TestModelSpec:
         with pytest.raises(ValueError):
             ModelSpec("linear", {"depth": 3})
 
-    def test_defaults_merged(self):
-        spec = ModelSpec("knn", {"n_neighbors": 5})
-        assert spec.hyperparameters["n_neighbors"] == 5
-        assert spec.hyperparameters["p"] == 1
-        assert spec.hyperparameters["weights"] == "distance"
+    @pytest.mark.parametrize("kind, key", [
+        ("linear", "ridge_lambda"),
+        ("knn", "n_neighbors"), ("knn", "weights"), ("knn", "p"),
+        ("decision_tree", "max_depth"), ("decision_tree", "min_samples_leaf"),
+        ("decision_tree", "min_impurity_decrease"),
+        ("random_forest", "min_samples_leaf"), ("random_forest", "max_features"),
+        ("random_forest", "bootstrap"), ("random_forest", "max_depth"),
+        ("gradient_boosting", "learning_rate"), ("gradient_boosting", "max_depth"),
+        ("gradient_boosting", "subsample"), ("gradient_boosting", "min_samples_leaf"),
+        ("linear", "n_estimators"), ("knn", "n_estimators"), ("decision_tree", "n_estimators"),
+    ])
+    def test_fixed_settings_are_unknown_hyperparameters(self, kind, key):
+        with pytest.raises(ValueError, match=f"unknown hyperparameter '{key}' for {kind}"):
+            ModelSpec(kind, {key: 1})
 
     def test_value_validation(self):
-        with pytest.raises(ValueError):
-            ModelSpec("knn", {"p": 3})
-        with pytest.raises(ValueError):
-            ModelSpec("gradient_boosting", {"subsample": 0.0})
-        with pytest.raises(ValueError):
-            ModelSpec("linear", {"ridge_lambda": -1.0})
-        for kind, hp in [
-            ("decision_tree", {"max_depth": 0}),
-            ("decision_tree", {"max_depth": -3}),
-            ("random_forest", {"max_depth": 0}),
-            ("gradient_boosting", {"max_depth": 2.0}),
-            ("decision_tree", {"min_impurity_decrease": -0.01}),
-            ("gradient_boosting", {"learning_rate": -0.5}),
-            ("gradient_boosting", {"learning_rate": 0}),
-            ("decision_tree", {"min_samples_leaf": 2.5}),
-            ("random_forest", {"min_samples_leaf": 2.0}),
-            ("random_forest", {"n_estimators": 2.0}),
-            ("gradient_boosting", {"n_estimators": True}),
+        for kind, value in [
+            ("random_forest", 2.0),
+            ("gradient_boosting", True),
+            ("random_forest", 0),
+            ("gradient_boosting", -3),
+            ("random_forest", "500"),
         ]:
-            with pytest.raises(ValueError):
-                ModelSpec(kind, hp)
+            with pytest.raises(ValueError, match="n_estimators must be an int >= 1"):
+                ModelSpec(kind, {"n_estimators": value})
 
-    def test_numpy_ints_and_unbounded_depth_accepted(self):
-        ModelSpec("random_forest", {"n_estimators": np.int64(3), "max_depth": None})
-        ModelSpec("decision_tree", {"max_depth": np.int32(1), "min_samples_leaf": np.int64(2)})
+    def test_numpy_int_tree_counts_accepted(self):
+        assert ModelSpec("random_forest", {"n_estimators": np.int64(3)}).hyperparameters == {
+            "n_estimators": 3
+        }
+        ModelSpec("gradient_boosting", {"n_estimators": np.int32(1)})
 
 
 class TestLinear:
@@ -112,17 +110,6 @@ class TestLinear:
         preds = predict_matrix(model, X)
         np.testing.assert_allclose(preds, y, atol=1e-4)
 
-    def test_explicit_ridge_no_warning(self):
-        rng = np.random.default_rng(3)
-        x = rng.normal(size=30)
-        X = np.column_stack([x, x])
-        y = x
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            fit(ModelSpec("linear", {"ridge_lambda": 0.1}), rows_from_arrays(X, y))
-
 
 class TestAllModels:
     @pytest.mark.parametrize("kind", MODEL_KINDS)
@@ -130,7 +117,7 @@ class TestAllModels:
         rng = np.random.default_rng(4)
         X = rng.normal(size=(40, 3))
         y = np.full(40, 2.5)
-        model = fit(ModelSpec(kind, SMALL[kind]), rows_from_arrays(X, y))
+        model = fit(ModelSpec(kind, SMALL.get(kind, {})), rows_from_arrays(X, y))
         preds = predict_matrix(model, rng.normal(size=(10, 3)))
         np.testing.assert_allclose(preds, 2.5, atol=1e-9)
 
@@ -141,18 +128,19 @@ class TestAllModels:
         y = X[:, 0] - X[:, 2] + 0.1 * rng.normal(size=50)
         rows = rows_from_arrays(X, y)
         X_test = rng.normal(size=(20, 4))
-        a = predict_matrix(fit(ModelSpec(kind, SMALL[kind], rng_seed=42), rows), X_test)
-        b = predict_matrix(fit(ModelSpec(kind, SMALL[kind], rng_seed=42), rows), X_test)
+        a = predict_matrix(fit(ModelSpec(kind, SMALL.get(kind, {}), rng_seed=42), rows), X_test)
+        b = predict_matrix(fit(ModelSpec(kind, SMALL.get(kind, {}), rng_seed=42), rows), X_test)
         assert np.array_equal(a, b)
 
     def test_minimum_training_rows_enforced(self):
         rng = np.random.default_rng(6)
         X = rng.normal(size=(10, 2))
         y = X[:, 0]
-        with pytest.raises(ValueError, match="at least 15"):
-            fit(ModelSpec("knn"), rows_from_arrays(X, y))  # default k=15
-        with pytest.raises(ValueError, match="at least 5"):
+        with pytest.raises(ValueError, match="knn needs at least 15 training rows, got 10"):
+            fit(ModelSpec("knn"), rows_from_arrays(X, y))
+        with pytest.raises(ValueError, match="linear needs at least 5 training rows, got 3"):
             fit(ModelSpec("linear"), rows_from_arrays(X[:3], y[:3]))
+        assert [models.min_training_rows(kind) for kind in MODEL_KINDS] == [5, 15, 5, 5, 5]
 
     def test_feature_name_mismatch_rejected(self):
         # one name set per table: a name list that does not match the
@@ -165,53 +153,45 @@ class TestKNN:
     def test_exact_match_returns_neighbour_target(self):
         X = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [3.0, 3.0], [4.0, 4.0]])
         y = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
-        model = fit(ModelSpec("knn", {"n_neighbors": 3}), rows_from_arrays(X, y))
-        assert predict_matrix(model, [[1.0, 1.0]])[0] == pytest.approx(2.0)
+        knn = models._KNN(X, y, 3)
+        assert knn.predict(np.array([[1.0, 1.0]]))[0] == pytest.approx(2.0)
 
     def test_distance_weighting_prefers_nearer(self):
         X = np.array([[0.0], [10.0], [1.6], [-10.0], [20.0]])
         y = np.array([1.0, 5.0, 1.0, 5.0, 5.0])
-        model = fit(ModelSpec("knn", {"n_neighbors": 5}), rows_from_arrays(X, y))
-        assert predict_matrix(model, [[0.1]])[0] < 3.0
+        knn = models._KNN(X, y, 5)
+        assert knn.predict(np.array([[0.1]]))[0] < 3.0
 
-    @pytest.mark.parametrize("weights", ["distance", "uniform"])
-    @pytest.mark.parametrize("p", [1, 2])
     @pytest.mark.parametrize("k", [1, 4, 15])
-    def test_blocks_match_one_row_reference_on_ties(self, weights, p, k):
-        # an integer design with few levels: many equal distances, many
-        # exact zeros (queries drawn from the training rows), and a
-        # query count that leaves a short last block
-        rng = np.random.default_rng(100 * k + p)
+    def test_blocks_match_one_row_reference_on_ties(self, k):
+        # an integer design with few levels, z-scaled as `fit` does: many
+        # equal distances, many exact zeros (queries drawn from the training
+        # rows), and a query count that leaves a short last block
+        rng = np.random.default_rng(100 * k + 1)
         X = rng.integers(0, 3, size=(40, 3)).astype(float)
-        y = rng.normal(size=40)
-        model = fit(ModelSpec("knn", {"n_neighbors": k, "weights": weights, "p": p}),
-                    rows_from_arrays(X, y))
+        scaler = models.Scaler.fit(X)
+        knn = models._KNN(scaler.transform(X), rng.normal(size=40), k)
         queries = np.vstack([X[:13], rng.integers(0, 3, size=(10, 3)), rng.normal(size=(6, 3))])
-        scaled = model.scaler.transform(queries)
-        expected = knn_predict_reference(model.estimator, scaled)
-        assert predict_matrix(model, queries).tobytes() == expected.tobytes()
+        scaled = scaler.transform(queries)
+        assert knn.predict(scaled).tobytes() == knn_predict_reference(knn, scaled).tobytes()
 
     @settings(max_examples=40, deadline=None)
     @given(
         cells=st.lists(st.integers(0, 2), min_size=24, max_size=96),
         k=st.integers(1, 6),
-        weights=st.sampled_from(["distance", "uniform"]),
-        p=st.sampled_from([1, 2]),
     )
-    def test_blocks_match_one_row_reference_on_integer_grids(self, cells, k, weights, p):
+    def test_blocks_match_one_row_reference_on_integer_grids(self, cells, k):
         X = np.asarray(cells[: len(cells) // 3 * 3], dtype=float).reshape(-1, 3)
         y = X[:, 0] - 0.5 * X[:, 1] + 0.25 * X[:, 2]
-        model = fit(ModelSpec("knn", {"n_neighbors": k, "weights": weights, "p": p}),
-                    rows_from_arrays(X, y))
-        scaled = model.scaler.transform(X)
-        expected = knn_predict_reference(model.estimator, scaled)
-        assert predict_matrix(model, X).tobytes() == expected.tobytes()
+        scaled = models.Scaler.fit(X).transform(X)
+        knn = models._KNN(scaled, y, k)
+        assert knn.predict(scaled).tobytes() == knn_predict_reference(knn, scaled).tobytes()
 
     def test_trained_scaler_exposed(self):
         rng = np.random.default_rng(8)
         X = rng.normal(loc=5.0, scale=2.0, size=(30, 2))
         y = X[:, 0]
-        model = fit(ModelSpec("knn", {"n_neighbors": 5}), rows_from_arrays(X, y))
+        model = fit(ModelSpec("knn"), rows_from_arrays(X, y))
         np.testing.assert_allclose(model.scaler.mean, X.mean(axis=0))
         np.testing.assert_allclose(model.scaler.scale, X.std(axis=0))
 
@@ -245,23 +225,20 @@ def screen_designs():
         ("reversed", reversed_, np.array([[0.0, 0.0], [2.0, 2.0 + 2 * e]])),
         ("overflow", big, np.array([[3.3e38, 1.0], [1e39, 1.0], [0.0, 1.0], [-1e39, 0.0]])),
         ("subnormal", tiny, np.array([[0.0, 0.0], [2 * a, 2 * a], [a, 0.0]])),
-        ("subnormal_squares", tiny * 1e20, np.array([[0.0, 0.0], [2e20 * a, 2e20 * a]])),
     ]
 
 
 def screen_mismatches():
-    """The cases (design, p, weights, k) where `_KNN.predict` differs from the
-    one-row reference by a single byte."""
+    """The cases (design, k) where `_KNN.predict` differs from the one-row
+    reference by a single byte."""
     found = []
     for name, X, queries in screen_designs():
         y = np.arange(1.0, X.shape[0] + 1.0) ** 2
-        for p in (1, 2):
-            for weights in ("distance", "uniform"):
-                for k in (1, X.shape[0]):
-                    knn = models._KNN(X, y, k, weights, p)
-                    expected = knn_predict_reference(knn, queries)
-                    if knn.predict(queries).tobytes() != expected.tobytes():
-                        found.append((name, p, weights, k))
+        for k in (1, X.shape[0]):
+            knn = models._KNN(X, y, k)
+            expected = knn_predict_reference(knn, queries)
+            if knn.predict(queries).tobytes() != expected.tobytes():
+                found.append((name, k))
     return found
 
 
@@ -271,17 +248,16 @@ class TestKNNScreen:
 
     def test_a_bound_100_times_too_small_is_caught(self, monkeypatch):
         bound = models._screen_bound
-        monkeypatch.setattr(models, "_screen_bound", lambda reach, p: bound(reach, p) / 100)
+        monkeypatch.setattr(models, "_screen_bound", lambda reach: bound(reach) / 100)
         found = screen_mismatches()
-        assert {name for name, *_ in found} >= {"reversed", "subnormal"}
+        assert {name for name, _ in found} >= {"reversed", "subnormal"}
 
-    @pytest.mark.parametrize("p", [1, 2])
-    def test_screen_leaves_few_exact_distances(self, p):
+    def test_screen_leaves_few_exact_distances(self):
         # on spread-out rows the screen rules out all but a handful of rows
         # per query, and never leaves fewer than k
-        rng = np.random.default_rng(p)
+        rng = np.random.default_rng(1)
         X = rng.normal(size=(500, 6))
-        knn = models._KNN(X, rng.normal(size=500), 5, "distance", p)
+        knn = models._KNN(X, rng.normal(size=500), 5)
         queries = rng.normal(size=(70, 6))
         rows, _ = knn._candidates(queries[:64])
         counts = np.bincount(rows, minlength=64)
@@ -306,8 +282,8 @@ class TestTreesRawFeatures:
         rng = np.random.default_rng(10)
         X = rng.normal(size=(200, 1))
         y = np.sin(3 * X[:, 0])
-        model = fit(ModelSpec("decision_tree", {"max_depth": 1}), rows_from_arrays(X, y))
-        assert len(set(predict_matrix(model, X).tolist())) <= 2
+        stump = fit_tree(X, y, max_depth=1)
+        assert len(set(trees.predict_tree(stump, X).tolist())) <= 2
 
 
 def tied_design(seed, n=90):
@@ -379,29 +355,30 @@ def assert_same_tree(fast, ref):
         assert getattr(fast, field).tobytes() == getattr(ref, field).tobytes(), field
 
 
-def forest_reference_trees(X, y, seed, n_estimators, **kwargs):
+def forest_reference_trees(X, y, seed, n_estimators):
     """Each forest tree from `fit_tree_reference` on its bootstrap rows, drawn
-    from the generators `fit_forest` uses."""
+    from the generators `fit_forest` uses, at the forest's settings."""
     rng = np.random.default_rng(seed)
     out = []
     for tree_seed in rng.integers(0, 2**63 - 1, size=n_estimators):
         tree_rng = np.random.default_rng(int(tree_seed))
         idx = tree_rng.integers(0, y.size, size=y.size)
-        out.append(fit_tree_reference(X[idx], y[idx], rng=tree_rng, **kwargs))
+        out.append(fit_tree_reference(X[idx], y[idx], min_samples_leaf=5, max_features=0.7,
+                                      rng=tree_rng))
     return out
 
 
-def boosting_reference_trees(X, y, seed, n_estimators, learning_rate, subsample, **kwargs):
+def boosting_reference_trees(X, y, seed, n_estimators):
     """Each boosting tree from `fit_tree_reference` on its subsample of the
-    running residual, drawn from the generator `fit_boosting` uses."""
+    running residual, drawn from the generator `fit_boosting` uses, at the
+    boosting settings."""
     rng = np.random.default_rng(seed)
     residual = y - y.mean()
-    n_sub = max(1, int(round(subsample * y.size)))
     out = []
     for _ in range(n_estimators):
-        idx = rng.permutation(y.size)[:n_sub] if n_sub < y.size else np.arange(y.size)
-        tree = fit_tree_reference(X[idx], residual[idx], rng=rng, **kwargs)
-        tree.value *= learning_rate
+        idx = rng.permutation(y.size)[: int(round(0.7 * y.size))]
+        tree = fit_tree_reference(X[idx], residual[idx], max_depth=2, min_samples_leaf=3, rng=rng)
+        tree.value *= 0.01
         residual -= trees.predict_tree(tree, X)
         out.append(tree)
     return out
@@ -410,55 +387,38 @@ def boosting_reference_trees(X, y, seed, n_estimators, learning_rate, subsample,
 @settings(max_examples=25, deadline=None)
 @given(
     cells=st.lists(st.integers(0, 3), min_size=24, max_size=120),
-    min_samples_leaf=st.integers(1, 4),
-    max_features=st.sampled_from([0.5, 0.7, 1.0]),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_forest_trees_match_reference_on_integer_grids(cells, min_samples_leaf, max_features,
-                                                       seed):
+def test_forest_trees_match_reference_on_integer_grids(cells, seed):
     X = np.asarray(cells[: len(cells) // 4 * 4], dtype=float).reshape(-1, 4)
     y = X[:, 0] * 0.1 - X[:, 2] * 0.7 + (X[:, 1] > 1) * 0.3
-    kwargs = dict(max_depth=None, min_samples_leaf=min_samples_leaf, max_features=max_features)
-    forest = trees.fit_forest(X, y, n_estimators=4, bootstrap=True,
-                              rng=np.random.default_rng(seed), **kwargs)
-    for fast, ref in zip(forest.trees, forest_reference_trees(X, y, seed, 4, **kwargs),
-                         strict=True):
+    forest = trees.fit_forest(X, y, np.random.default_rng(seed), n_estimators=4)
+    for fast, ref in zip(forest.trees, forest_reference_trees(X, y, seed, 4), strict=True):
         assert_same_tree(fast, ref)
 
 
 @settings(max_examples=25, deadline=None)
 @given(
     cells=st.lists(st.integers(0, 3), min_size=24, max_size=120),
-    min_samples_leaf=st.integers(1, 4),
-    subsample=st.sampled_from([0.5, 0.7, 1.0]),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_boosting_trees_match_reference_on_integer_grids(cells, min_samples_leaf, subsample,
-                                                         seed):
+def test_boosting_trees_match_reference_on_integer_grids(cells, seed):
     X = np.asarray(cells[: len(cells) // 4 * 4], dtype=float).reshape(-1, 4)
     y = X[:, 0] * 0.1 - X[:, 2] * 0.7 + (X[:, 1] > 1) * 0.3
-    kwargs = dict(n_estimators=6, learning_rate=0.1, subsample=subsample, max_depth=2,
-                  min_samples_leaf=min_samples_leaf)
-    boosted = trees.fit_boosting(X, y, rng=np.random.default_rng(seed), **kwargs)
-    for fast, ref in zip(boosted.trees, boosting_reference_trees(X, y, seed, **kwargs),
-                         strict=True):
+    boosted = trees.fit_boosting(X, y, np.random.default_rng(seed), n_estimators=6)
+    for fast, ref in zip(boosted.trees, boosting_reference_trees(X, y, seed, 6), strict=True):
         assert_same_tree(fast, ref)
 
 
 @pytest.mark.parametrize("data_seed", range(3))
 def test_ensemble_trees_match_reference_on_tied_designs(data_seed):
     X, y = tied_design(data_seed, n=120)
-    forest_kwargs = dict(max_depth=None, min_samples_leaf=3, max_features=0.7)
-    forest = trees.fit_forest(X, y, n_estimators=5, bootstrap=True,
-                              rng=np.random.default_rng(data_seed), **forest_kwargs)
-    for fast, ref in zip(forest.trees,
-                         forest_reference_trees(X, y, data_seed, 5, **forest_kwargs)):
+    forest = trees.fit_forest(X, y, np.random.default_rng(data_seed), n_estimators=5)
+    for fast, ref in zip(forest.trees, forest_reference_trees(X, y, data_seed, 5), strict=True):
         assert_same_tree(fast, ref)
-    boosting_kwargs = dict(n_estimators=8, learning_rate=0.05, subsample=0.7, max_depth=3,
-                           min_samples_leaf=2)
-    boosted = trees.fit_boosting(X, y, rng=np.random.default_rng(data_seed), **boosting_kwargs)
-    for fast, ref in zip(boosted.trees,
-                         boosting_reference_trees(X, y, data_seed, **boosting_kwargs)):
+    boosted = trees.fit_boosting(X, y, np.random.default_rng(data_seed), n_estimators=8)
+    for fast, ref in zip(boosted.trees, boosting_reference_trees(X, y, data_seed, 8),
+                         strict=True):
         assert_same_tree(fast, ref)
 
 
