@@ -265,13 +265,15 @@ def _write(path, write):
 
 class _Run:
     """Every file one stage reads or writes, each named once: `need` and
-    `given` record the inputs, `write` and `write_csv` the outputs (by name
-    under `out_dir`, in write order), and `finish` lists them all."""
+    `given` record the inputs (an upstream artifact by its name under
+    `out_dir`, an option's file by its path as given), `write` and
+    `write_csv` the outputs (by name under `out_dir`, in write order), and
+    `finish` lists them all."""
 
     def __init__(self, config):
         self.config = config
         self.out = Path(config.out_dir)
-        self.inputs = []
+        self.inputs = {}  # manifest name -> path
         self.outputs = []
 
     def need(self, name):
@@ -282,13 +284,13 @@ class _Run:
             stage = next(s for s, patterns in _OUTPUTS.items()
                          if any(Path(name).match(p) for p in patterns))
             raise MissingUpstreamError(path, stage)
-        self.inputs.append(path)
+        self.inputs[name] = path
         return path
 
     def given(self, path):
         """The input file an option names, or None where it names none."""
         if path:
-            self.inputs.append(path)
+            self.inputs[path] = path
         return path
 
     def write(self, name, write):
@@ -313,7 +315,7 @@ class _Run:
             "stage": stage,
             "config_hash": config_hash(self.config),
             "rng_seed": self.config.rng_seed,
-            "inputs": {str(p): _file_digest(p) for p in self.inputs},
+            "inputs": {name: _file_digest(p) for name, p in self.inputs.items()},
             "outputs": self.outputs,
         }
         text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
@@ -438,6 +440,8 @@ def cmd_build(run):
 
 def _network_from_json(line):
     r = json.loads(line)
+    if not isinstance(r["story_id"], str):
+        raise ValueError(f"story_id {r['story_id']!r} is not a string")
     if r["builder"] not in BUILDER_TAGS:
         raise ValueError(f"unknown builder {r['builder']!r}")
     if not isinstance(r["nodes"], list):
@@ -464,8 +468,7 @@ def cmd_features(run):
     for (story_id, builder), f in feats.items():
         by_builder.setdefault(builder, []).append(f)
     for builder, rows in sorted(by_builder.items()):
-        for name in graphmetrics.STRUCTURAL_FEATURE_NAMES + ("n_components",):
-            values = (f.as_dict()[name] for f in rows)
+        for name, values in zip(graphmetrics.FEATURE_COLUMNS, zip(*rows)):
             run.write_csv(f"histograms/{name}__{builder}.csv", graphmetrics.histogram_rows(values))
     log.info("wrote structural features for %d networks", len(feats))
 
@@ -662,9 +665,7 @@ def _write_attributions(run, features, results, target):
 
 def cmd_compare_builders(run):
     values_by_builder = _read_csv(
-        run.need("features.csv"),
-        graphmetrics.STRUCTURAL_FEATURE_NAMES + ("n_components",),
-        ("builder", "story_id"),
+        run.need("features.csv"), graphmetrics.FEATURE_COLUMNS, ("builder", "story_id")
     )
     run.write_csv(
         "builder_comparison.csv",
@@ -763,10 +764,10 @@ def cmd_report(run):
     if len(run.config.retention) > 1:
         lines.append("")
         lines.append(_retention_finding(run))
-    comparison = run.out / "builder_comparison.csv"
-    if run.given(comparison if comparison.exists() else None):
+    if (run.out / "builder_comparison.csv").exists():
+        run.need("builder_comparison.csv")
         lines.append("")
-        lines.append(f"builder comparison table: {comparison.name}")
+        lines.append("builder comparison table: builder_comparison.csv")
     text = "\n".join(lines) + "\n"
     run.write("report.txt", lambda fh: fh.write(text))
     sys.stdout.write(text)

@@ -23,43 +23,32 @@ to `tol`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ConvergenceError
 from .netbuild import GraphBatch, label_components
 
-STRUCTURAL_FEATURE_NAMES = (
-    "n_nodes",
-    "n_edges",
-    "density",
-    "avg_local_clustering",
-    "aspl_lcc",
-    "diameter_lcc",
-    "pagerank_centralisation",
-)
 
+class StructuralFeatures(NamedTuple):
+    """A network's descriptors, each a float: the columns of features.csv
+    after story_id and builder, in file order."""
 
-@dataclass(frozen=True)
-class StructuralFeatures:
-    n_nodes: int
-    n_edges: int
+    n_nodes: float
+    n_edges: float
     density: float
     avg_local_clustering: float
     aspl_lcc: float
-    diameter_lcc: int
+    diameter_lcc: float
     pagerank_centralisation: float
-    n_components: int
+    n_components: float
 
-    def as_feature_dict(self):
-        """The seven descriptors used as regression predictors."""
-        return {name: float(getattr(self, name)) for name in STRUCTURAL_FEATURE_NAMES}
 
-    def as_dict(self):
-        d = self.as_feature_dict()
-        d["n_components"] = float(self.n_components)
-        return d
+FEATURE_COLUMNS = StructuralFeatures._fields
+
+# the seven regression predictors: every descriptor but n_components
+STRUCTURAL_FEATURE_NAMES = FEATURE_COLUMNS[:-1]
 
 
 def components(net):
@@ -212,28 +201,29 @@ def structural_features(net, centralisation=None):
     if centralisation is None:
         centralisation = pagerank_centralisation(net)
     return StructuralFeatures(
-        n_nodes=net.n_nodes,
-        n_edges=net.n_edges,
+        n_nodes=float(net.n_nodes),
+        n_edges=float(net.n_edges),
         density=density(net),
         avg_local_clustering=avg_local_clustering(net),
         aspl_lcc=aspl_lcc(net),
-        diameter_lcc=diameter_lcc(net),
-        pagerank_centralisation=centralisation,
-        n_components=net.index.n_components,
+        diameter_lcc=float(diameter_lcc(net)),
+        pagerank_centralisation=float(centralisation),
+        n_components=float(net.index.n_components),
     )
 
 
 def feature_rows(features_by_story_builder):
     """Header, then one features row per (story, builder)."""
-    yield ("story_id", "builder") + STRUCTURAL_FEATURE_NAMES + ("n_components",)
+    yield ("story_id", "builder") + FEATURE_COLUMNS
     for (story_id, builder), feats in features_by_story_builder.items():
-        yield (story_id, builder, *feats.as_dict().values())
+        yield (story_id, builder, *feats)
 
 
-def histogram_rows(values, bins=20):
-    """Header, then bin edges and count for one feature/builder distribution."""
+def histogram_rows(values):
+    """Header, then the 20 equal-width bins' edges and counts for one
+    feature/builder distribution."""
     yield ("bin_left", "bin_right", "count")
-    arr = np.asarray(list(values), dtype=float)
+    arr = np.asarray(values, dtype=float)
     if arr.size:
-        counts, edges = np.histogram(arr, bins=bins)
+        counts, edges = np.histogram(arr, bins=20)
         yield from zip(edges[:-1].tolist(), edges[1:].tolist(), counts.tolist())

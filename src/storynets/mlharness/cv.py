@@ -15,7 +15,6 @@ import numpy as np
 from ..seeding import derive_seed
 from ..stats import mae as mae_score
 from ..stats import pearson, spearman
-from .features import FEATURE_CONFIGS
 from .models import fit, predict_matrix
 
 
@@ -100,8 +99,8 @@ def kfold_cv(table, model_spec, k=4, rng_seed=0, permuted=False):
         preds = predict_matrix(model, test.X)
         fold_maes.append(mae_score(preds, test.y))
         if len(test) >= 2:
-            fold_spearmans.append(spearman(preds, test.y, warn=False))
-            fold_pearsons.append(pearson(preds, test.y, warn=False))
+            fold_spearmans.append(spearman(preds, test.y))
+            fold_pearsons.append(pearson(preds, test.y))
         else:
             fold_spearmans.append(0.0)
             fold_pearsons.append(0.0)
@@ -182,9 +181,6 @@ def run_matrix(
     `fork`.  Results come back in matrix order, and each cell's warnings are
     raised again here in that order, so the output is the same either way.
     """
-    for config in configs:
-        if config not in FEATURE_CONFIGS:
-            raise ValueError(f"unknown feature configuration {config!r}")
     tasks = []
     for target in targets:
         for builder in builders:

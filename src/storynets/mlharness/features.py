@@ -18,16 +18,6 @@ ALPHA_FEATURE_NAMES = ("alpha_prompt1", "alpha_prompt2", "alpha_prompt3")
 
 EMOTION_FEATURE_NAMES = tuple(f"z_{e}" for e in PLUTCHIK_EMOTIONS)
 
-FEATURE_CONFIGS = (
-    "NetStr",
-    "Spread",
-    "Emotions",
-    "NetStr+Spread",
-    "NetStr+Emo",
-    "Emo+Spread",
-    "All",
-)
-
 _CONFIG_BLOCKS = {
     "NetStr": ("structural",),
     "Spread": ("alphas",),
@@ -37,6 +27,8 @@ _CONFIG_BLOCKS = {
     "Emo+Spread": ("emotions", "alphas"),
     "All": ("structural", "alphas", "emotions"),
 }
+
+FEATURE_CONFIGS = tuple(_CONFIG_BLOCKS)
 
 _BLOCK_NAMES = {
     "structural": STRUCTURAL_FEATURE_NAMES,

@@ -193,11 +193,11 @@ def label_components(indexes):
 class LexicalNetwork:
     """Simple undirected graph over lemma labels.
 
-    Built from any node iterable and any (a, b) pairs: `nodes` becomes a
-    frozenset and `edges` the frozenset of each pair's sorted form, so a
-    pair given reversed or repeated is one edge.  `valence` holds per-node
-    labels once `annotate_valence` has run (nodes absent from it count as
-    neutral).
+    Built from any node iterable and any (a, b) pairs, each a 2-item tuple
+    or list: `nodes` becomes a frozenset and `edges` the frozenset of each
+    pair's sorted form, so a pair given reversed or repeated is one edge.
+    `valence` holds per-node labels once `annotate_valence` has run (nodes
+    absent from it count as neutral).
     """
 
     nodes: frozenset[str]
@@ -211,7 +211,10 @@ class LexicalNetwork:
             if not isinstance(node, str):
                 raise ValueError(f"node {node!r} is not a string")
         edges = set()
-        for a, b in self.edges:
+        for edge in self.edges:
+            if not isinstance(edge, (tuple, list)) or len(edge) != 2:
+                raise ValueError(f"edge {edge!r} is not a pair")
+            a, b = edge
             if a == b:
                 raise ValueError(f"self-loop on {a!r}")
             if a not in nodes or b not in nodes:
@@ -220,6 +223,8 @@ class LexicalNetwork:
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "edges", frozenset(edges))
         for node, val in self.valence.items():
+            if node not in nodes:
+                raise ValueError(f"valence for {node!r}, which is not a node")
             if val not in VALENCES:
                 raise ValueError(f"bad valence {val!r} for node {node!r}")
 
@@ -285,17 +290,16 @@ def load_relations(path):
         return RelationFile(tuple(rows))
 
 
-def build_cooccurrence(sentences, window_size, keep_pronouns, builder_tag=None):
+def build_cooccurrence(sentences, window_size, keep_pronouns):
     """Link each token to the next window_size-1 tokens in its sentence.
 
     Sentences are re-filtered here (alphabetic, stop-words out, pronouns
     per `keep_pronouns`), so both full parses and pre-filtered streams are
     accepted.  Every surviving lemma becomes a node even when unlinked.
+    The network's tag is `coocc_WS<n>`, or `coocc_p_WS<n>` with pronouns.
     """
     if window_size < 2:
         raise ValueError(f"window_size must be >= 2, got {window_size}")
-    if builder_tag is None:
-        builder_tag = f"coocc{'_p' if keep_pronouns else ''}_WS{window_size}"
     nodes = set()
     edges = set()
     for sent in sentences:
@@ -305,7 +309,7 @@ def build_cooccurrence(sentences, window_size, keep_pronouns, builder_tag=None):
             for j in range(i + 1, min(i + window_size, len(lemmas))):
                 if lemmas[i] != lemmas[j]:
                     edges.add((lemmas[i], lemmas[j]))
-    return LexicalNetwork(nodes, edges, builder_tag)
+    return LexicalNetwork(nodes, edges, f"coocc{'_p' if keep_pronouns else ''}_WS{window_size}")
 
 
 def is_tfmn_node(token):
@@ -315,8 +319,8 @@ def is_tfmn_node(token):
     return token.upos in CONTENT_UPOS and not token.is_stop and token.lemma.isalpha()
 
 
-def build_dependency_network(sentences, radius=3, builder_tag="TFMN"):
-    """Link content lemmas within `radius` hops on the syntax tree.
+def build_dependency_network(sentences, radius=3):
+    """Link content lemmas within `radius` hops on the syntax tree: the TFMN.
 
     Distances are measured over all tokens, so stop-words contribute path
     steps without ever becoming nodes.  Sentence graphs merge by lemma.
@@ -335,7 +339,7 @@ def build_dependency_network(sentences, radius=3, builder_tag="TFMN"):
                 for other in near
                 if other in lemmas and lemmas[other] != lemmas[pos]
             )
-    return LexicalNetwork(nodes, edges, builder_tag)
+    return LexicalNetwork(nodes, edges, "TFMN")
 
 
 def annotate_valence(net, lexicon, occurrences=()):
@@ -390,8 +394,8 @@ def build_all_variants(story, radius=3, relations=None, lexicon=None):
     nets = {}
     for window in (2, 3, 4):
         for keep in (False, True):
-            tag = f"coocc{'_p' if keep else ''}_WS{window}"
-            nets[tag] = build_cooccurrence(story.sentences, window, keep, tag)
+            net = build_cooccurrence(story.sentences, window, keep)
+            nets[net.builder_tag] = net
     tfmn = build_dependency_network(story.sentences, radius=radius)
     if relations is not None:
         tfmn = add_semantic_edges(tfmn, relations)

@@ -1,4 +1,4 @@
-"""Nonparametric statistics: paired sign-flip permutation tests,
+"""Nonparametric statistics: two-sided paired sign-flip permutation tests,
 Benjamini-Hochberg FDR, Wilcoxon signed-rank (exact for small n),
 rank correlations and MAE. The tests and `bh_fdr` refuse NaN and
 infinite input with ValueError.
@@ -23,7 +23,6 @@ against `integers(0, 2)`, so a change to numpy's stream fails there.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,10 +35,6 @@ EXACT_WILCOXON_LIMIT = 25
 
 # Signed differences the sign-flip null holds at once (whole rows, at least two).
 SIGNFLIP_CHUNK = 1 << 15
-
-
-class CorrelationUndefinedWarning(RuntimeWarning):
-    """A correlation was requested on a zero-variance input."""
 
 
 @dataclass(frozen=True)
@@ -72,14 +67,6 @@ def _differences(x, y):
     return d
 
 
-def _count_hits(null, observed, alternative):
-    if alternative == "two-sided":
-        return int(np.count_nonzero(np.abs(null) >= abs(observed)))
-    if alternative == "greater":
-        return int(np.count_nonzero(null >= observed))
-    return int(np.count_nonzero(null <= observed))
-
-
 def _sign_bits(bit_generator, count):
     """The next `count` values of `integers(0, 2)` on a PCG64 stream that
     holds no buffered 32-bit half, as uint32 0/1: the top bit of each
@@ -90,14 +77,14 @@ def _sign_bits(bit_generator, count):
     return np.right_shift(halves, 31, out=halves)
 
 
-def paired_signflip_test(x, y, n_perm=10_000, rng_seed=0, alternative="two-sided"):
-    """Mean paired difference against a random sign-flip null.
+def paired_signflip_test(x, y, n_perm=10_000, rng_seed=0):
+    """Mean paired difference against a random sign-flip null, two-sided:
+    a hit is a null mean at least as far from 0 as the observed one.
 
     p uses the add-one correction (1 + hits) / (1 + n_perm), so it can
     never reach exactly zero. The null is drawn about SIGNFLIP_CHUNK
     elements at a time (see the module docstring).
     """
-    _check_alternative(alternative)
     d = _differences(x, y)
     n = d.size
     if n < 2:
@@ -115,9 +102,9 @@ def paired_signflip_test(x, y, n_perm=10_000, rng_seed=0, alternative="two-sided
         np.multiply(_sign_bits(bit_generator, k * n).reshape(k, n), 2.0, out=chunk)
         chunk -= 1.0
         chunk *= d
-        hits += _count_hits(chunk.mean(axis=1), observed, alternative)
+        hits += int(np.count_nonzero(np.abs(chunk.mean(axis=1)) >= abs(observed)))
     p = (1 + hits) / (1 + n_perm)
-    return TestResult(observed, p, n, "paired-sign-flip", alternative)
+    return TestResult(observed, p, n, "paired-sign-flip", "two-sided")
 
 
 def bh_fdr(p_values):
@@ -138,16 +125,15 @@ def bh_fdr(p_values):
 
 
 def _average_ranks(a):
+    """1-based ranks of the 1-d `a`, each run of equal values at its mean
+    rank: -0.0 ties with 0.0, and every NaN ranks alone, last."""
     a = np.asarray(a, dtype=float)
     order = np.argsort(a, kind="stable")
+    ordered = a[order]
+    starts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
+    ends = np.append(starts[1:], a.size) - 1
     ranks = np.empty(a.size)
-    i = 0
-    while i < a.size:
-        j = i
-        while j + 1 < a.size and a[order[j + 1]] == a[order[i]]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
+    ranks[order] = np.repeat((starts + ends) / 2.0 + 1.0, ends - starts + 1)
     return ranks
 
 
@@ -214,7 +200,8 @@ def wilcoxon_signed_rank(x, y, alternative="two-sided"):
     return TestResult(statistic, p, n, method, alternative)
 
 
-def pearson(x, y, warn=True):
+def pearson(x, y):
+    """Pearson correlation; 0.0 where either input has zero variance."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape or x.ndim != 1 or x.size < 2:
@@ -224,23 +211,17 @@ def pearson(x, y, warn=True):
     sx = math.sqrt(float(xc @ xc))
     sy = math.sqrt(float(yc @ yc))
     if sx == 0.0 or sy == 0.0:
-        if warn:
-            warnings.warn(
-                "correlation undefined for zero-variance input; reporting 0",
-                CorrelationUndefinedWarning,
-                stacklevel=2,
-            )
         return 0.0
     return float(xc @ yc) / (sx * sy)
 
 
-def spearman(x, y, warn=True):
-    """Pearson correlation of average ranks."""
+def spearman(x, y):
+    """Pearson correlation of average ranks; 0.0 where either input is constant."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape or x.ndim != 1 or x.size < 2:
         raise ValueError("correlation needs two equal-length vectors of size >= 2")
-    return pearson(_average_ranks(x), _average_ranks(y), warn=warn)
+    return pearson(_average_ranks(x), _average_ranks(y))
 
 
 def mae(pred, true):

@@ -248,19 +248,12 @@ def _is_content(lemma, is_stop, is_pronoun, keep_pronouns):
     return lemma.isalpha() and (keep_pronouns if is_pronoun else not is_stop)
 
 
-def tokenize_and_lemmatize(
-    sentence,
-    lemma_table,
-    stoplist,
-    pronouns,
-    keep_pronouns,
-    sentence_index=0,
-):
+def tokenize_and_lemmatize(sentence, lemma_table, stoplist, pronouns, sentence_index=0):
     """Alphabetic tokens of one sentence, lemmatised and stop-filtered.
 
     Lemmas come from `lemma_table` with fallback to the lowercased
-    surface.  Pronouns are kept only when `keep_pronouns` is set, whether
-    or not they are stop-words; other stop-words are dropped.
+    surface.  Pronouns are kept, whether or not they are stop-words
+    (`filter_content` drops them later); other stop-words are dropped.
     """
     tokens = []
     for surface in _WORD_RE.findall(sentence):
@@ -268,7 +261,7 @@ def tokenize_and_lemmatize(
         lemma = lemma_table.get(lower, lower)
         is_stop = lower in stoplist or lemma in stoplist
         is_pron = lemma in pronouns
-        if _is_content(lemma, is_stop, is_pron, keep_pronouns):
+        if _is_content(lemma, is_stop, is_pron, keep_pronouns=True):
             tokens.append(Token(
                 surface, lemma, "X", sentence_index, len(tokens),
                 is_stop=is_stop, is_pronoun=is_pron,
@@ -294,8 +287,7 @@ def tokenize_text(text, lemma_table, stoplist, pronouns):
     sentences = []
     for raw in segment_sentences(text):
         toks = tokenize_and_lemmatize(
-            raw, lemma_table, stoplist, pronouns, keep_pronouns=True,
-            sentence_index=len(sentences),
+            raw, lemma_table, stoplist, pronouns, sentence_index=len(sentences)
         )
         if toks:
             sentences.append(tuple(toks))

@@ -1,7 +1,9 @@
 """Slow reference implementations kept as test oracles.
 
 `wilcoxon_exact_enumeration` checks the exact Wilcoxon path by brute
-force over all 2^n sign assignments; `parse_graphml` reads back the
+force over all 2^n sign assignments; `average_ranks_reference` finds tie
+runs by a scan of the sorted values, the ranks that `stats._average_ranks`
+must give bit for bit; `parse_graphml` reads back the
 GraphML export for round-trip tests; `induced_subgraph` and `edge_hash`
 cut and fingerprint networks for graph tests; `fit_tree_reference` is the
 per-node, per-feature CART split search that `trees.fit_tree` must match
@@ -43,8 +45,23 @@ from storynets.activation import (
 from storynets.errors import ConvergenceError
 from storynets.mlharness.trees import TreeArrays
 from storynets.netbuild import LexicalNetwork
-from storynets.stats import TestResult, _average_ranks, _check_alternative
+from storynets.stats import TestResult, _check_alternative
 from storynets.textpipe import match_prompts
+
+
+def average_ranks_reference(a):
+    """1-based ranks with ties at their mean rank, one tie run at a time."""
+    a = np.asarray(a, dtype=float)
+    order = np.argsort(a, kind="stable")
+    ranks = np.empty(a.size)
+    i = 0
+    while i < a.size:
+        j = i
+        while j + 1 < a.size and a[order[j + 1]] == a[order[i]]:
+            j += 1
+        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
+        i = j + 1
+    return ranks
 
 
 def wilcoxon_exact_enumeration(x, y, alternative="two-sided"):
@@ -56,7 +73,7 @@ def wilcoxon_exact_enumeration(x, y, alternative="two-sided"):
     n = d.size
     if n == 0:
         return TestResult(0.0, 1.0, 0, "wilcoxon-enumeration", alternative)
-    ranks = _average_ranks(np.abs(d))
+    ranks = average_ranks_reference(np.abs(d))
     w_plus = float(ranks[d > 0].sum())
     w_minus = float(ranks[d < 0].sum())
     sums = np.array(

@@ -336,7 +336,7 @@ def test_criterion_10_optional_corpus_reproduction():
         }
         features = CorpusFeatures(
             structural={"TFMN": {
-                s.id: features_rows[(s.id, "TFMN")].as_feature_dict() for s in kept
+                s.id: features_rows[(s.id, "TFMN")]._asdict() for s in kept
             }},
             alphas={"TFMN": alphas},
             emotions=emotions,

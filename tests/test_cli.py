@@ -333,11 +333,19 @@ class TestPipeline:
                 {**json.loads(lines[2]), "nodes": [*json.loads(lines[2])["nodes"], 7]})),
             ("spread", "networks.jsonl", lambda lines: json.dumps(
                 {**json.loads(lines[2]), "nodes": "abc", "edges": [], "valence": {}})),
+            ("features", "networks.jsonl", lambda lines: json.dumps(
+                {**json.loads(lines[2]), "nodes": ["x", "y", "z"], "edges": ["xy", ["y", "z"]],
+                 "valence": {}})),
+            ("features", "networks.jsonl", lambda lines: json.dumps(
+                {**json.loads(lines[2]), "valence": {"ghost": "positive"}})),
+            ("features", "networks.jsonl", lambda lines: json.dumps(
+                {**json.loads(lines[2]), "story_id": 7})),
         ],
         ids=["truncated-line", "no-sentences", "edge-outside-nodes", "ratings-not-a-mapping",
              "unsafe-story-id", "head-cycle-at-build", "head-cycle-at-emotions",
              "repeated-network", "repeated-story", "unknown-builder", "node-not-a-string",
-             "nodes-not-a-list"],
+             "nodes-not-a-list", "edge-not-a-pair", "valence-of-no-node",
+             "story-id-not-a-string"],
     )
     def test_malformed_upstream_json_is_bad_input(
         self, pipeline, tmp_path, capsys, stage, name, damage
@@ -660,6 +668,34 @@ def test_report_manifest_lists_the_builder_comparison(tmp_path, monkeypatch):
     assert main(["report", "--config", "run.ini"]) == 0
     assert "builder_comparison.csv" not in report_inputs()
     assert "builder comparison table" not in Path("out/report.txt").read_text(encoding="utf-8")
+
+
+def test_manifests_name_upstream_artifacts_under_out_dir(tmp_path, monkeypatch):
+    """The same run made with an absolute out_dir in two directories lists
+    each upstream artifact by its name under out_dir, so both runs' manifests
+    hold the same inputs. results.json alone differs in bytes: its config hash
+    covers out_dir."""
+    subprocess.run(
+        [sys.executable, str(DEMO_SCRIPT), "."], cwd=tmp_path, check=True, capture_output=True
+    )
+    monkeypatch.chdir(tmp_path)
+    inputs = []
+    for out in (tmp_path / "a" / "out", tmp_path / "b" / "out"):
+        for stage in cli.STAGES:
+            assert main([stage, "--config", "run.ini", "--out-dir", str(out)]) == 0, stage
+        inputs.append({
+            manifest.name: json.loads(manifest.read_text(encoding="utf-8"))["inputs"]
+            for manifest in out.glob("manifest_*.json")
+        })
+    first, second = inputs
+    assert set(first["manifest_report.json"]) == {"results.json", "builder_comparison.csv"}
+    assert "corpus.jsonl" in first["manifest_build.json"]
+    assert {m: set(names) for m, names in first.items()} == {
+        m: set(names) for m, names in second.items()
+    }
+    for manifest, names in first.items():
+        for name, digest in names.items():
+            assert (digest == second[manifest][name]) == (name != "results.json"), name
 
 
 class TestExitCodes:

@@ -24,7 +24,25 @@ GOLDEN = {
     "results.json": "0fccf35de287339412bdda35935fe68e51b25a9655d1ea8a35b642420681a47e",
     "builder_comparison.csv": "4c9857cfbcbc41741ebc6d0af2ecdecf14a52bbd845f0ebf5363953b72bfc7e8",
     "attributions_mean.csv": "16d2dfa691cd7d09b47bb40758e71adbdbc227350c010018fc2078e87b71fb17",
+    "report.txt": "62ad7e26cea10188f33e4fe8d39127f3da917cdc88b6a9c7d3c5664b0aee9438",
+    "corpus.jsonl": "56bd759a2221486f5080bfb85b370b1ca599276cf658cda37c70da9a9eb1fb8b",
+    "exclusions.csv": "60b013fc7648164697bf4c9f2e912fb306732e81fa49bff52f0e379abc8d7666",
 }
+
+# One digest per output directory: each file's sha256, keyed by its relative
+# name, folded in sorted name order.
+GOLDEN_DIRS = {
+    "histograms": "df6cfd08669e9197b0f33bb0294e04edff142ff58960012a333b8f6db18efd94",
+    "edges": "d832f5351efbb83a18fb8b89559b32235e0b73666637aa1a704165cefe200d65",
+}
+
+
+def _tree_digest(root: Path) -> str:
+    h = hashlib.sha256()
+    names = sorted(p.relative_to(root).as_posix() for p in root.rglob("*") if p.is_file())
+    for name in names:
+        h.update(name.encode() + b"\0" + hashlib.sha256((root / name).read_bytes()).digest())
+    return h.hexdigest()
 
 
 def test_demo_artifacts_match_golden_digests(tmp_path, monkeypatch):
@@ -42,3 +60,4 @@ def test_demo_artifacts_match_golden_digests(tmp_path, monkeypatch):
         for name in GOLDEN
     }
     assert digests == GOLDEN
+    assert {name: _tree_digest(tmp_path / "out" / name) for name in GOLDEN_DIRS} == GOLDEN_DIRS

@@ -356,6 +356,7 @@ class TestStructuralFeatures:
             [make_sentence(["child", "play", "football", "game"])], 3, False
         )
         f = structural_features(net)
+        assert all(type(v) is float for v in f)
         assert f.n_nodes == 4
         assert f.n_edges == 5
         assert f.density == pytest.approx(5 / 6)
@@ -450,8 +451,10 @@ class TestExports:
         assert len(lines) == 1 + 7
 
     def test_histogram_csv(self):
-        lines = list(graphmetrics.histogram_rows([1.0, 2.0, 2.5, 3.0], bins=4))
+        lines = list(graphmetrics.histogram_rows([1.0, 2.0, 2.5, 3.0]))
         assert lines[0] == ("bin_left", "bin_right", "count")
+        assert len(lines) == 1 + 20
+        assert (lines[1][0], lines[-1][1]) == (1.0, 3.0)
         counts = [row[2] for row in lines[1:]]
         assert sum(counts) == 4
         assert all(type(c) is int for c in counts)

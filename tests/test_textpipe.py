@@ -63,22 +63,17 @@ class TestTokenize:
             {"children": "child", "played": "play"},
             {"the"},
             set(),
-            keep_pronouns=False,
         )
         assert [t.lemma for t in toks] == ["child", "play"]
 
     def test_pronouns_bypass_stoplist(self):
-        toks = tokenize_and_lemmatize(
-            "I like it", {}, {"i", "it"}, {"i", "it"}, keep_pronouns=True
-        )
+        toks = tokenize_and_lemmatize("I like it", {}, {"i", "it"}, {"i", "it"})
         assert [t.lemma for t in toks] == ["i", "like", "it"]
         assert toks[0].is_pronoun and toks[0].is_stop
 
     def test_pronouns_dropped_without_keep(self):
-        toks = tokenize_and_lemmatize(
-            "I like it", {}, {"i", "it"}, {"i", "it"}, keep_pronouns=False
-        )
-        assert [t.lemma for t in toks] == ["like"]
+        toks = tokenize_and_lemmatize("I like it", {}, {"i", "it"}, {"i", "it"})
+        assert [t.lemma for t in textpipe.filter_content(toks, keep_pronouns=False)] == ["like"]
 
     def test_non_stop_pronouns_follow_the_pronoun_rule(self):
         # "us" and "mine" are bundled pronouns but not bundled stop-words
@@ -86,21 +81,19 @@ class TestTokenize:
         pronouns = default_pronouns()
         assert {"us", "mine"} <= pronouns and not {"us", "mine"} & stoplist
         text = "The lantern showed us mine"
-        full = tokenize_and_lemmatize(text, {}, stoplist, pronouns, True)
+        full = tokenize_and_lemmatize(text, {}, stoplist, pronouns)
         assert [t.lemma for t in full] == ["lantern", "showed", "us", "mine"]
-        without = tokenize_and_lemmatize(text, {}, stoplist, pronouns, False)
-        assert [t.lemma for t in without] == ["lantern", "showed"]
         assert textpipe.filter_content(full, keep_pronouns=False) == full[:2]
 
     def test_non_alphabetic_removed(self):
-        assert tokenize_and_lemmatize("12 %% !!", {}, set(), set(), False) == []
+        assert tokenize_and_lemmatize("12 %% !!", {}, set(), set()) == []
 
     def test_lowercasing_fallback(self):
-        toks = tokenize_and_lemmatize("Many WORDS", {}, set(), set(), False)
+        toks = tokenize_and_lemmatize("Many WORDS", {}, set(), set())
         assert [t.lemma for t in toks] == ["many", "words"]
 
     def test_token_indices_are_positions_in_filtered_stream(self):
-        toks = tokenize_and_lemmatize("the big cat", {}, {"the"}, set(), False)
+        toks = tokenize_and_lemmatize("the big cat", {}, {"the"}, set())
         assert [(t.lemma, t.token_index) for t in toks] == [("big", 0), ("cat", 1)]
 
     @given(st.text(alphabet=st.characters(codec="ascii"), max_size=80))
@@ -108,10 +101,8 @@ class TestTokenize:
         stoplist = default_stoplist()
         pronouns = default_pronouns()
         table = {"children": "child"}
-        first = tokenize_and_lemmatize(text, table, stoplist, pronouns, True)
-        again = tokenize_and_lemmatize(
-            " ".join(t.lemma for t in first), table, stoplist, pronouns, True
-        )
+        first = tokenize_and_lemmatize(text, table, stoplist, pronouns)
+        again = tokenize_and_lemmatize(" ".join(t.lemma for t in first), table, stoplist, pronouns)
         assert [t.lemma for t in again] == [t.lemma for t in first]
 
     @given(st.lists(st.sampled_from("i it cat dog the very happy my".split()), max_size=12))
@@ -119,8 +110,9 @@ class TestTokenize:
         stoplist = default_stoplist()
         pronouns = default_pronouns()
         text = " ".join(words)
-        with_p = [t.lemma for t in tokenize_and_lemmatize(text, {}, stoplist, pronouns, True)]
-        without = [t.lemma for t in tokenize_and_lemmatize(text, {}, stoplist, pronouns, False)]
+        tokens = tokenize_and_lemmatize(text, {}, stoplist, pronouns)
+        with_p = [t.lemma for t in tokens]
+        without = [t.lemma for t in textpipe.filter_content(tokens, keep_pronouns=False)]
         it = iter(with_p)
         assert all(any(w == x for x in it) for w in without)  # subsequence check
 
