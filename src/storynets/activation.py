@@ -45,7 +45,6 @@ class MissingSeedError(KeyError):
 @dataclass(frozen=True)
 class ActivationTrace:
     seed: str
-    retention: float
     seed_series: tuple[float, ...]
     stationary_alpha: float
     converged: bool
@@ -97,7 +96,6 @@ def _diffuse(runs, retention, tol, max_iter):
     return [
         ActivationTrace(
             seed=seed,
-            retention=retention,
             seed_series=tuple(history[: k + 1, i].tolist()),
             stationary_alpha=float(history[k, i]),
             converged=not active[i],
@@ -144,10 +142,9 @@ def stationary_oracle(net, seed):
     return net.n_nodes * degree / volume
 
 
-def _isolated_seed_trace(seed, retention, n):
+def _isolated_seed_trace(seed, n):
     return ActivationTrace(
         seed=seed,
-        retention=retention,
         seed_series=(float(n),),
         stationary_alpha=float(n),
         converged=True,
@@ -174,7 +171,7 @@ def prompt_alphas(story, nets, retention=DEFAULT_RETENTION):
         tag: tuple(
             replace(next(diffused), stationary_alpha=stationary_oracle(net, seed), converged=True)
             if seed in net.nodes
-            else _isolated_seed_trace(seed, retention, net.n_nodes)
+            else _isolated_seed_trace(seed, net.n_nodes)
             for seed in seeds
         )
         for tag, net in nets.items()

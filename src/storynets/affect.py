@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import InputFormatError
-from .textpipe import read_tsv, tree_neighbourhoods
+from .textpipe import open_text, read_tsv, tree_neighbourhoods
 
 PLUTCHIK_EMOTIONS = (
     "joy",
@@ -85,14 +85,12 @@ def _association(word, label, flag):
     return word.lower(), label, flag == "1"
 
 
-def load_lexicon(data, source="lexicon"):
-    """Parse EmoLex-style TSV: word<TAB>label<TAB>flag(0|1) per row; errors
-    name `source` and the line."""
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
+def load_lexicon(text, source="lexicon"):
+    """Parse EmoLex-style TSV text: word<TAB>label<TAB>flag(0|1) per row;
+    errors name `source` and the line."""
     entries: dict[str, set[str]] = {}
     vocabulary = set()
-    for word, label, flagged in read_tsv(data.splitlines(), 3, source, _association):
+    for word, label, flagged in read_tsv(text.splitlines(), 3, source, _association):
         vocabulary.add(word)
         if flagged:
             entries.setdefault(word, set()).add(label)
@@ -110,8 +108,7 @@ def load_lexicon(data, source="lexicon"):
 
 
 def load_lexicon_file(path):
-    with open(path, "rb") as fh:
-        return load_lexicon(fh.read(), source=path)
+    return load_lexicon(open_text(path).read(), source=path)
 
 
 def detect_negations(sentence):
@@ -186,31 +183,11 @@ def emotion_counts(marked_lemmas, lexicon):
     return counts, m
 
 
-@dataclass(frozen=True)
-class EmotionProfile:
-    z: dict[str, float]
-    counts: dict[str, int]
-    m: int
-
-    def over_represented(self, emotion):
-        return self.z[emotion] > SIGNIFICANCE_Z
-
-    def under_represented(self, emotion):
-        return self.z[emotion] < -SIGNIFICANCE_Z
-
-    def flag(self, emotion):
-        if self.over_represented(emotion):
-            return "over"
-        if self.under_represented(emotion):
-            return "under"
-        return "none"
-
-
 def emotion_zscores(counts, m, lexicon):
-    """Binomial z per emotion: (k - m*p) / sqrt(m*p*(1-p)).
+    """{emotion: binomial z}, z = (k - m*p) / sqrt(m*p*(1-p)).
 
-    Degenerate cases (no matched tokens, or a prior of 0 or 1) score 0 so
-    profiles are always complete.
+    Degenerate cases (no matched tokens, or a prior of 0 or 1) score 0, so
+    every emotion has a z.
     """
     if m < 0:
         raise ValueError("matched token count cannot be negative")
@@ -222,25 +199,32 @@ def emotion_zscores(counts, m, lexicon):
             continue
         k = counts.get(emotion, 0)
         z[emotion] = (k - m * p) / math.sqrt(m * p * (1.0 - p))
-    return EmotionProfile(z=z, counts=dict(counts), m=m)
+    return z
 
 
 def profile_story(sentences, lexicon):
+    """{emotion: z} of a story's sentences."""
     marked = negation_marked_lemmas(sentences)
     counts, m = emotion_counts(marked, lexicon)
     return emotion_zscores(counts, m, lexicon)
 
 
-def emotion_rows(profiles_by_story):
+def _flag(z):
+    if z > SIGNIFICANCE_Z:
+        return "over"
+    return "under" if z < -SIGNIFICANCE_Z else "none"
+
+
+def emotion_rows(zscores_by_story):
     """Header, then story_id, eight z columns and eight over/under flags per story."""
     yield (
         "story_id",
         *(f"z_{e}" for e in PLUTCHIK_EMOTIONS),
         *(f"{e}_flag" for e in PLUTCHIK_EMOTIONS),
     )
-    for story_id, profile in profiles_by_story.items():
+    for story_id, z in zscores_by_story.items():
         yield (
             story_id,
-            *(float(profile.z[e]) for e in PLUTCHIK_EMOTIONS),
-            *(profile.flag(e) for e in PLUTCHIK_EMOTIONS),
+            *(float(z[e]) for e in PLUTCHIK_EMOTIONS),
+            *(_flag(z[e]) for e in PLUTCHIK_EMOTIONS),
         )

@@ -371,8 +371,8 @@ def cmd_preprocess(run):
     stoplist, pronouns, lemma_table = _load_wordlists(run)
     conllu_sentences = None
     if config.conllu:
-        with open(run.given(config.conllu), "rb") as fh:
-            conllu_sentences = textpipe.read_conllu(fh.read(), stoplist, pronouns, config.conllu)
+        text = textpipe.open_text(run.given(config.conllu)).read()
+        conllu_sentences = textpipe.read_conllu(text, stoplist, pronouns, config.conllu)
     stories = textpipe.read_stories_csv(
         run.given(config.stories_csv), lemma_table, stoplist, pronouns, conllu_sentences
     )
@@ -502,16 +502,20 @@ def cmd_spread(run):
     stories = _read_corpus(run)
     nets = _read_networks(run)
     netbuild.label_components([net.index for net in nets.values()])
-    nets_by_story = {}
+    nets_by_story = {story.id: {} for story in stories}
     for (story_id, builder), net in nets.items():
-        nets_by_story.setdefault(story_id, {})[builder] = net
+        if story_id not in nets_by_story:
+            raise InputFormatError(
+                f"{run.out / 'networks.jsonl'}: story {story_id!r} is not in corpus.jsonl"
+            )
+        nets_by_story[story_id][builder] = net
     for retention in run.config.retention:
         alphas = [("story_id", "builder", "alpha1", "alpha2", "alpha3")]
 
         def traces():
             # one story's traces at a time; only their alphas are kept
             for story in stories:
-                story_nets = nets_by_story.get(story.id)
+                story_nets = nets_by_story[story.id]
                 if not story_nets:
                     continue
                 per_builder = activation.prompt_alphas(story, story_nets, retention=retention)

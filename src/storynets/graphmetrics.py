@@ -8,17 +8,16 @@ rows stay complete.
 
 PageRank has one power iteration, `_power_iteration`, over a
 `netbuild.GraphBatch`: `pagerank_centralisations` runs it once for the
-LCCs of a whole stage's networks, and `pagerank` and
-`pagerank_centralisation` are the one-network case.  Each block stops at
-the first step whose L1 change in its own block drops below `tol`, so its
-ranks are those of a run on its own, bit for bit: every node's neighbour
-terms are added in the same order.  Stopped blocks leave the batch once
-they are most of it.  The one place the orders differ is the
-residual.  A lone run sums its changes with numpy's pairwise `sum`, while
-`np.add.reduceat` sums each block in another order.  For k non-negative
-terms the two sums differ by less than k * eps * sum, so `_below_tol`
-sums a block again the pairwise way whenever its residual lies that close
-to `tol`.
+LCCs of a whole stage's networks, and `pagerank` is the one-network
+case.  Each block stops at the first step whose L1 change in its own
+block drops below `tol`, so its ranks are those of a run on its own, bit
+for bit: every node's neighbour terms are added in the same order.
+Stopped blocks leave the batch once they are most of it.  The one place
+the orders differ is the residual.  A lone run sums its changes with
+numpy's pairwise `sum`, while `np.add.reduceat` sums each block in
+another order.  For k non-negative terms the two sums differ by less than
+k * eps * sum, so `_below_tol` sums a block again the pairwise way
+whenever its residual lies that close to `tol`.
 """
 
 from __future__ import annotations
@@ -67,13 +66,18 @@ def density(net):
 def avg_local_clustering(net):
     """Mean of 2*t_i / (k_i*(k_i-1)) over nodes of degree >= 2; 0 if none.
 
-    Summed in sorted-node order, so the result does not depend on hashing.
+    Added one at a time in sorted-node order, as the built-in `sum` adds
+    before Python 3.12 (it compensates from 3.12 on), so the result depends
+    neither on hashing nor on the interpreter.
     """
     adj = net.index.dense_adjacency()
     links = ((adj @ adj) * adj).sum(axis=1).astype(np.int64) // 2
     k = net.index.degree
     values = (2.0 * links[k >= 2] / (k[k >= 2] * (k[k >= 2] - 1))).tolist()
-    return sum(values) / len(values) if values else 0.0
+    total = 0.0
+    for value in values:
+        total += value
+    return total / len(values) if values else 0.0
 
 
 def aspl_lcc(net):
@@ -140,8 +144,9 @@ def _power_iteration(batch, damping, tol, max_iter):
 
 
 def pagerank_centralisations(indexes, damping=0.85, tol=1e-10, max_iter=1000):
-    """`pagerank_centralisation` of every index, from one power iteration over
-    all of their LCCs."""
+    """Per index, the mean absolute deviation of its LCC's PageRank from
+    uniform over the LCC size (0 for an LCC of at most one node), from one
+    power iteration over all of their LCCs."""
     _check_damping(damping)
     if not indexes:
         return []
@@ -189,17 +194,9 @@ def pagerank(net, damping=0.85, tol=1e-10, max_iter=1000):
     return dict(zip(index.nodes, rank.tolist()))
 
 
-def pagerank_centralisation(net, damping=0.85, tol=1e-10, max_iter=1000):
-    """Mean absolute deviation of LCC PageRank from uniform, over LCC size."""
-    (centralisation,) = pagerank_centralisations([net.index], damping, tol, max_iter)
-    return centralisation
-
-
-def structural_features(net, centralisation=None):
-    """The network's descriptors; `centralisation`, when given, is its
-    `pagerank_centralisation` from a batch of networks."""
-    if centralisation is None:
-        centralisation = pagerank_centralisation(net)
+def structural_features(net, centralisation):
+    """The network's descriptors; `centralisation` is its PageRank
+    centralisation, from `pagerank_centralisations` over a batch."""
     return StructuralFeatures(
         n_nodes=float(net.n_nodes),
         n_edges=float(net.n_edges),

@@ -92,7 +92,7 @@ def fit(spec, table):
     X_in = scaler.transform(X) if scaler is not None else X
     rng = np.random.default_rng(spec.rng_seed)
     if spec.kind == "linear":
-        estimator = _fit_linear(X_in, y, scaler)
+        estimator = _fit_linear(X_in, y)
     elif spec.kind == "knn":
         estimator = _KNN(X_in, y, _KNN_NEIGHBOURS)
     elif spec.kind == "decision_tree":
@@ -118,14 +118,12 @@ def predict_matrix(model, X):
 @dataclass
 class _LinearEstimator:
     weights: np.ndarray  # on scaled features, intercept last
-    coef_: np.ndarray  # back-transformed to the original feature space
-    intercept_: float
 
     def predict(self, X):
         return X @ self.weights[:-1] + self.weights[-1]
 
 
-def _fit_linear(X_scaled, y, scaler):
+def _fit_linear(X_scaled, y):
     """Exact least squares, or a ridge of 1e-8 (intercept unpenalised) with a
     warning where the design is singular."""
     n, f = X_scaled.shape
@@ -141,10 +139,7 @@ def _fit_linear(X_scaled, y, scaler):
         weights = np.linalg.solve(design.T @ design + penalty, design.T @ y)
     else:
         weights, *_ = np.linalg.lstsq(design, y, rcond=None)
-    coef_scaled = weights[:-1]
-    coef = coef_scaled / scaler.scale
-    intercept = float(weights[-1] - np.sum(coef_scaled * scaler.mean / scaler.scale))
-    return _LinearEstimator(weights=weights, coef_=coef, intercept_=intercept)
+    return _LinearEstimator(weights)
 
 
 _KNN_BLOCK = 64  # query rows per distance block
@@ -201,14 +196,15 @@ class _KNN:
         row's distance counts as +inf, above the k-th, so the selection keeps
         the same rows with the same distances.
 
-        The k-th smallest candidate distance of each row comes from
-        `np.partition`; every row below it is kept, and the lowest-index rows
-        equal to it fill the k.  A stable sort of those by distance gives the
-        order of `argsort(kind="stable")[:k]`, so predictions equal the
-        one-row loop.
+        Each row's candidates sit left-aligned in ascending index order, with
+        +inf after them.  A stable argsort of that row gives the order of
+        `argsort(kind="stable")[:k]` over every training row: ties go to the
+        lower index, and the padding sorts after every candidate (a NaN
+        distance needs a NaN or infinite value, so an infinite E, and then
+        every training row is a candidate and there is no padding).  So
+        predictions equal the one-row loop, NaN for a query row with a NaN.
         """
         out = np.empty(X.shape[0])
-        k = self.k
         for start in range(0, X.shape[0], _KNN_BLOCK):
             q = X[start : start + _KNN_BLOCK]
             rows, cols = self._candidates(q)
@@ -220,13 +216,7 @@ class _KNN:
             diff = self.X_train[cols] - q[rows]
             dist = np.full(index.shape, np.inf)
             dist[rows, slots] = np.abs(diff, out=diff).sum(axis=1)
-            kth = np.partition(dist, k - 1, axis=1)[:, k - 1 : k]
-            below, equal = dist < kth, dist == kth
-            fill = k - below.sum(axis=1, keepdims=True)
-            keep = below | (equal & (np.cumsum(equal, axis=1) <= fill))
-            nearest = np.nonzero(keep)[1].reshape(-1, k)  # ascending index per row
-            d = np.take_along_axis(dist, nearest, axis=1)
-            order = np.take_along_axis(nearest, np.argsort(d, axis=1, kind="stable"), axis=1)
+            order = np.argsort(dist, axis=1, kind="stable")[:, : self.k]
             d = np.take_along_axis(dist, order, axis=1)
             targets = self.y_train[np.take_along_axis(index, order, axis=1)]
             block = out[start : start + _KNN_BLOCK]

@@ -23,7 +23,7 @@ from functools import cached_property
 import numpy as np
 
 from .affect import negation_marked_lemmas
-from .textpipe import filter_content, read_tsv, tree_neighbourhoods
+from .textpipe import filter_content, open_text, read_tsv, tree_neighbourhoods
 
 BUILDER_TAGS = (
     "coocc_WS2",
@@ -285,9 +285,10 @@ class RelationFile:
 
 def load_relations(path):
     """TSV of lemma<TAB>lemma<TAB>kind rows, lowercased on load."""
-    with open(path, encoding="utf-8") as fh:
-        rows = read_tsv(fh, 3, path, lambda *cells: RelationFile.triple(*map(str.lower, cells)))
-        return RelationFile(tuple(rows))
+    rows = read_tsv(
+        open_text(path), 3, path, lambda *cells: RelationFile.triple(*map(str.lower, cells))
+    )
+    return RelationFile(tuple(rows))
 
 
 def build_cooccurrence(sentences, window_size, keep_pronouns):

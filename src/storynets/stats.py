@@ -42,8 +42,6 @@ class TestResult:
     statistic: float
     p_value: float
     n: int
-    method: str
-    alternative: str
 
     def __post_init__(self):
         if not 0.0 <= self.p_value <= 1.0:
@@ -104,7 +102,7 @@ def paired_signflip_test(x, y, n_perm=10_000, rng_seed=0):
         chunk *= d
         hits += int(np.count_nonzero(np.abs(chunk.mean(axis=1)) >= abs(observed)))
     p = (1 + hits) / (1 + n_perm)
-    return TestResult(observed, p, n, "paired-sign-flip", "two-sided")
+    return TestResult(observed, p, n)
 
 
 def bh_fdr(p_values):
@@ -175,7 +173,7 @@ def wilcoxon_signed_rank(x, y, alternative="two-sided"):
     d = d[d != 0]
     n = int(d.size)
     if n == 0:
-        return TestResult(0.0, 1.0, 0, "wilcoxon-signed-rank-degenerate", alternative)
+        return TestResult(0.0, 1.0, 0)
     ranks = _average_ranks(np.abs(d))
     w_plus = float(ranks[d > 0].sum())
     w_minus = float(ranks[d < 0].sum())
@@ -188,16 +186,14 @@ def wilcoxon_signed_rank(x, y, alternative="two-sided"):
 
     if n <= EXACT_WILCOXON_LIMIT:
         tail = _exact_wplus_cdf(np.rint(ranks * 2).astype(int), 2 * statistic)
-        method = "wilcoxon-signed-rank-exact"
     else:
         mu = n * (n + 1) / 4.0
         _, tie_counts = np.unique(np.abs(d), return_counts=True)
         tie_term = float(np.sum(tie_counts**3 - tie_counts)) / 48.0
         sigma = math.sqrt(n * (n + 1) * (2 * n + 1) / 24.0 - tie_term)
         tail = _normal_cdf((statistic - mu + 0.5) / sigma)
-        method = "wilcoxon-signed-rank-normal"
     p = min(1.0, 2.0 * tail) if alternative == "two-sided" else tail
-    return TestResult(statistic, p, n, method, alternative)
+    return TestResult(statistic, p, n)
 
 
 def pearson(x, y):

@@ -45,9 +45,20 @@ def default_pronouns():
     return _bundled_wordlist("pronouns.txt")
 
 
+def open_text(path, newline=None):
+    """The UTF-8 file `path`, read whole into a text stream whose lines split
+    as those of `open(path, newline=newline)` do; a byte that is not UTF-8
+    is an InputFormatError naming the file and the byte's offset."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return io.StringIO(data.decode("utf-8"), newline=newline)
+    except UnicodeDecodeError as exc:
+        raise InputFormatError(f"{path}: byte {exc.start} is not UTF-8 ({exc.reason})") from None
+
+
 def load_wordlist(path):
-    with open(path, encoding="utf-8") as fh:
-        return _wordlist(fh.read())
+    return _wordlist(open_text(path).read())
 
 
 def read_tsv(lines, n_columns, source, parse):
@@ -70,8 +81,7 @@ def read_tsv(lines, n_columns, source, parse):
 
 def load_lemma_table(path):
     """TSV of surface<TAB>lemma rows, both lowercased on load."""
-    with open(path, encoding="utf-8") as fh:
-        return dict(read_tsv(fh, 2, path, lambda surface, lemma: (surface.lower(), lemma.lower())))
+    return dict(read_tsv(open_text(path), 2, path, lambda *cells: tuple(map(str.lower, cells))))
 
 
 @dataclass(frozen=True)
@@ -333,8 +343,8 @@ def match_prompts(story):
 _CONLLU_COLUMNS = 10
 
 
-def read_conllu(data, stoplist=None, pronouns=None, source="CoNLL-U"):
-    """Parse CoNLL-U bytes/text into {story_id: [sentence, ...]}.
+def read_conllu(text, stoplist=None, pronouns=None, source="CoNLL-U"):
+    """Parse CoNLL-U text into {story_id: [sentence, ...]}.
 
     Each sentence block must carry a `# story_id = <id>` comment.  The
     1-based HEAD column becomes a 0-based `head_index` (HEAD=0 -> None);
@@ -342,15 +352,13 @@ def read_conllu(data, stoplist=None, pronouns=None, source="CoNLL-U"):
     recomputed against the supplied (or bundled) word lists.  Errors name
     `source` and the line.
     """
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
     stoplist = default_stoplist() if stoplist is None else stoplist
     pronouns = default_pronouns() if pronouns is None else pronouns
     stories: dict[str, list[tuple[Token, ...]]] = {}
     rows: list[tuple[int, list[str]]] = []
     story_id = None
     # the blank line appended closes the last block
-    for lineno, line in enumerate(data.splitlines() + [""], start=1):
+    for lineno, line in enumerate(text.splitlines() + [""], start=1):
         if line.startswith("#"):
             key, _, value = line[1:].partition("=")
             if key.strip() == "story_id":
@@ -511,46 +519,45 @@ def read_stories_csv(path, lemma_table, stoplist, pronouns, conllu_sentences=Non
     is an InputFormatError naming its row.
     """
     stories = []
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            return []
-        if len(header) < 6:
-            raise InputFormatError(
-                f"{path}: need id, 3 prompt columns, text and at least one rater column"
-            )
-        rater_ids = [h.strip() for h in header[5:]]
-        if "" in rater_ids or len(set(rater_ids)) < len(rater_ids):
-            raise InputFormatError(
-                f"{path}: row 1: rater headers must be non-empty and unique, got {rater_ids}"
-            )
-        seen_ids = set()
-        for rowno, row in enumerate(reader, start=2):
-            if not any(cell.strip() for cell in row):
-                continue
-            try:
-                if len(row) != len(header):
-                    raise ValueError(f"expected {len(header)} cells, got {len(row)}")
-                story_id, text = row[0].strip(), row[4]
-                if story_id in seen_ids:
-                    raise ValueError(f"duplicate story id {story_id!r}")
-                seen_ids.add(story_id)
-                if conllu_sentences is not None and story_id in conllu_sentences:
-                    sentences = conllu_sentences[story_id]
-                else:
-                    sentences = tokenize_text(text, lemma_table, stoplist, pronouns)
-                stories.append(Story(
-                    id=story_id,
-                    prompt_lemmas=tuple(p.strip().lower() for p in row[1:4]),
-                    text=text,
-                    sentences=sentences,
-                    ratings={
-                        rater: _int_cell(cell.strip(), "rating")
-                        for rater, cell in zip(rater_ids, row[5:])
-                        if cell.strip()
-                    },
-                ))
-            except ValueError as exc:
-                raise InputFormatError(f"{path}: row {rowno}: {exc}") from None
+    reader = csv.reader(open_text(path, newline=""))
+    header = next(reader, None)
+    if header is None:
+        return []
+    if len(header) < 6:
+        raise InputFormatError(
+            f"{path}: need id, 3 prompt columns, text and at least one rater column"
+        )
+    rater_ids = [h.strip() for h in header[5:]]
+    if "" in rater_ids or len(set(rater_ids)) < len(rater_ids):
+        raise InputFormatError(
+            f"{path}: row 1: rater headers must be non-empty and unique, got {rater_ids}"
+        )
+    seen_ids = set()
+    for rowno, row in enumerate(reader, start=2):
+        if not any(cell.strip() for cell in row):
+            continue
+        try:
+            if len(row) != len(header):
+                raise ValueError(f"expected {len(header)} cells, got {len(row)}")
+            story_id, text = row[0].strip(), row[4]
+            if story_id in seen_ids:
+                raise ValueError(f"duplicate story id {story_id!r}")
+            seen_ids.add(story_id)
+            if conllu_sentences is not None and story_id in conllu_sentences:
+                sentences = conllu_sentences[story_id]
+            else:
+                sentences = tokenize_text(text, lemma_table, stoplist, pronouns)
+            stories.append(Story(
+                id=story_id,
+                prompt_lemmas=tuple(p.strip().lower() for p in row[1:4]),
+                text=text,
+                sentences=sentences,
+                ratings={
+                    rater: _int_cell(cell.strip(), "rating")
+                    for rater, cell in zip(rater_ids, row[5:])
+                    if cell.strip()
+                },
+            ))
+        except ValueError as exc:
+            raise InputFormatError(f"{path}: row {rowno}: {exc}") from None
     return stories

@@ -16,7 +16,10 @@ from `integers(0, 2)`, the null that the chunked
 `stats.paired_signflip_test` must match bit for bit; `_pagerank_rows` is
 the power iteration of one network on its own, which the batched
 `graphmetrics` PageRank must match bit for bit through
-`pagerank_reference` and `pagerank_centralisation_reference`;
+`pagerank_reference` and `pagerank_centralisation_reference`, and
+`structural_features_alone` gives one network's descriptors from a batch
+of one; `linear_coefficients` back-transforms a linear model's scaled
+weights to raw-feature coefficients;
 `trajectory_rows_reference` gives the trajectory CSV cells that
 `cli._write_trajectories` must write byte for byte as `csv.writer` would;
 `component_labels_reference` ranks components found by breadth-first
@@ -43,6 +46,7 @@ from storynets.activation import (
     stationary_oracle,
 )
 from storynets.errors import ConvergenceError
+from storynets.graphmetrics import pagerank_centralisations, structural_features
 from storynets.mlharness.trees import TreeArrays
 from storynets.netbuild import LexicalNetwork
 from storynets.stats import TestResult, _check_alternative
@@ -72,7 +76,7 @@ def wilcoxon_exact_enumeration(x, y, alternative="two-sided"):
     d = d[d != 0]
     n = d.size
     if n == 0:
-        return TestResult(0.0, 1.0, 0, "wilcoxon-enumeration", alternative)
+        return TestResult(0.0, 1.0, 0)
     ranks = average_ranks_reference(np.abs(d))
     w_plus = float(ranks[d > 0].sum())
     w_minus = float(ranks[d < 0].sum())
@@ -89,7 +93,7 @@ def wilcoxon_exact_enumeration(x, y, alternative="two-sided"):
     else:
         statistic = w_minus
         p = float(np.mean(sums <= statistic + eps))
-    return TestResult(statistic, p, int(n), "wilcoxon-enumeration", alternative)
+    return TestResult(statistic, p, int(n))
 
 
 def parse_graphml(text):
@@ -271,6 +275,14 @@ def knn_predict_reference(knn, X):
     return out
 
 
+def linear_coefficients(model):
+    """(coef, intercept) of a fitted linear model on the raw features: its
+    weights on the z-scaled features, back-transformed through its scaler."""
+    weights, scaler = model.estimator.weights, model.scaler
+    coef = weights[:-1] / scaler.scale
+    return coef, float(weights[-1] - np.sum(weights[:-1] * scaler.mean / scaler.scale))
+
+
 @dataclass(frozen=True)
 class ActivationState:
     values: dict[str, float]
@@ -344,7 +356,6 @@ def run_to_stationarity_reference(
             break
     return ActivationTrace(
         seed=seed,
-        retention=retention,
         seed_series=tuple(series),
         stationary_alpha=float(values[seed_idx]),
         converged=converged,
@@ -369,7 +380,7 @@ def prompt_alphas_reference(story, nets, retention=DEFAULT_RETENTION):
                     replace(trace, stationary_alpha=stationary_oracle(net, seed), converged=True)
                 )
             else:
-                traces.append(_isolated_seed_trace(seed, retention, net.n_nodes))
+                traces.append(_isolated_seed_trace(seed, net.n_nodes))
         out[tag] = tuple(traces)
     return out
 
@@ -399,7 +410,7 @@ def paired_signflip_test_reference(x, y, n_perm=10_000, rng_seed=0, alternative=
     else:
         hits = int(np.sum(null <= observed))
     p = (1 + hits) / (1 + n_perm)
-    return TestResult(observed, p, int(d.size), "paired-sign-flip", alternative)
+    return TestResult(observed, p, int(d.size))
 
 
 def _pagerank_rows(index, rows, damping, tol, max_iter):
@@ -431,7 +442,7 @@ def pagerank_reference(net, damping=0.85, tol=1e-10, max_iter=1000):
 
 
 def pagerank_centralisation_reference(net, damping=0.85, tol=1e-10, max_iter=1000):
-    """`graphmetrics.pagerank_centralisation` of one network, iterated on its
+    """`graphmetrics.pagerank_centralisations` of one network, iterated on its
     own; the deviations are added one at a time, in sorted-node order."""
     lcc = np.flatnonzero(np.array(component_labels_reference(net), dtype=int) == 0)
     n = lcc.size
@@ -442,6 +453,13 @@ def pagerank_centralisation_reference(net, damping=0.85, tol=1e-10, max_iter=100
     for r in _pagerank_rows(net.index, lcc, damping, tol, max_iter).tolist():
         total += abs(r - u)
     return total / n
+
+
+def structural_features_alone(net):
+    """`graphmetrics.structural_features` of one network, its centralisation
+    from a batch of that network alone."""
+    (centralisation,) = pagerank_centralisations([net.index])
+    return structural_features(net, centralisation)
 
 
 def trajectory_rows_reference(traces_by_story_builder):

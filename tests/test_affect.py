@@ -14,6 +14,7 @@ from storynets.affect import (
     emotion_rows,
     load_lexicon,
     load_lexicon_file,
+    negation_marked_lemmas,
     profile_story,
 )
 from storynets.errors import InputFormatError
@@ -162,39 +163,38 @@ class TestZScores:
         p = demo_lexicon.priors["joy"]
         m = 20
         k = m * p
-        profile = emotion_zscores({"joy": k}, m, demo_lexicon)
-        assert profile.z["joy"] == pytest.approx(0.0, abs=1e-12)
+        assert emotion_zscores({"joy": k}, m, demo_lexicon)["joy"] == pytest.approx(0.0, abs=1e-12)
 
     def test_hand_computed_fixture(self):
         # m=8, p=0.25, k=6 -> (6-2)/sqrt(8*0.25*0.75) = 3.266
         rows = [f"w{i}\tjoy\t{1 if i < 1 else 0}" for i in range(4)]
         lex = load_lexicon("\n".join(rows))
         assert lex.priors["joy"] == pytest.approx(0.25)
-        profile = emotion_zscores({"joy": 6}, 8, lex)
-        assert profile.z["joy"] == pytest.approx(4 / math.sqrt(1.5), abs=1e-3)
-        assert profile.z["joy"] == pytest.approx(3.266, abs=1e-3)
+        z = emotion_zscores({"joy": 6}, 8, lex)
+        assert z["joy"] == pytest.approx(4 / math.sqrt(1.5), abs=1e-3)
+        assert z["joy"] == pytest.approx(3.266, abs=1e-3)
 
     def test_degenerate_denominators_are_zero(self, demo_lexicon):
-        profile = emotion_zscores({}, 0, demo_lexicon)
-        assert all(v == 0.0 for v in profile.z.values())
+        assert all(v == 0.0 for v in emotion_zscores({}, 0, demo_lexicon).values())
         lex_all = load_lexicon("a\tjoy\t1\nb\tjoy\t1\n")  # p_joy = 1
-        profile = emotion_zscores({"joy": 2}, 2, lex_all)
-        assert profile.z["joy"] == 0.0
+        assert emotion_zscores({"joy": 2}, 2, lex_all)["joy"] == 0.0
 
     def test_over_under_flags_exclusive(self, demo_lexicon):
-        for k in range(0, 18, 3):
-            profile = emotion_zscores({"joy": k}, 18, demo_lexicon)
-            for emotion in PLUTCHIK_EMOTIONS:
-                assert not (
-                    profile.over_represented(emotion) and profile.under_represented(emotion)
-                )
+        zscores = {f"k{k}": emotion_zscores({"joy": k}, 18, demo_lexicon) for k in range(0, 18, 3)}
+        zscores["none of 200"] = emotion_zscores({}, 200, demo_lexicon)
+        _, *rows = emotion_rows(zscores)
+        for (story_id, *cells), z in zip(rows, zscores.values()):
+            for emotion, flag in zip(PLUTCHIK_EMOTIONS, cells[8:]):
+                want = "over" if z[emotion] > 1.96 else "under" if z[emotion] < -1.96 else "none"
+                assert flag == want, (story_id, emotion)
+        assert {"over", "under", "none"} == {row[1 + 8] for row in rows}  # the joy flags
 
     def test_doubling_tokens_scales_z_by_sqrt2(self, demo_lexicon):
         stream = [("happy", False), ("happy", False), ("grim", False), ("table", False)]
         c1, m1 = emotion_counts(stream, demo_lexicon)
         c2, m2 = emotion_counts(stream * 2, demo_lexicon)
-        z1 = emotion_zscores(c1, m1, demo_lexicon).z
-        z2 = emotion_zscores(c2, m2, demo_lexicon).z
+        z1 = emotion_zscores(c1, m1, demo_lexicon)
+        z2 = emotion_zscores(c2, m2, demo_lexicon)
         for emotion in PLUTCHIK_EMOTIONS:
             assert z2[emotion] == pytest.approx(z1[emotion] * math.sqrt(2), abs=1e-9)
             if abs(z1[emotion]) > 0:
@@ -203,13 +203,14 @@ class TestZScores:
 
 class TestProfileAndExport:
     def test_profile_story_end_to_end(self, demo_story, demo_lexicon):
-        profile = profile_story(demo_story.sentences, demo_lexicon)
-        assert profile.m >= 1  # "gloom" is in the lexicon
-        assert set(profile.z) == set(PLUTCHIK_EMOTIONS)
+        counts, m = emotion_counts(negation_marked_lemmas(demo_story.sentences), demo_lexicon)
+        assert m >= 1  # "gloom" is in the lexicon
+        z = profile_story(demo_story.sentences, demo_lexicon)
+        assert z == emotion_zscores(counts, m, demo_lexicon)
+        assert set(z) == set(PLUTCHIK_EMOTIONS)
 
     def test_csv_columns(self, demo_story, demo_lexicon):
-        profile = profile_story(demo_story.sentences, demo_lexicon)
-        lines = list(emotion_rows({"demo1": profile}))
+        lines = list(emotion_rows({"demo1": profile_story(demo_story.sentences, demo_lexicon)}))
         header = lines[0]
         assert header[0] == "story_id"
         assert len(header) == 1 + 8 + 8

@@ -361,6 +361,45 @@ class TestPipeline:
         assert f"error: {out / name}, line 3:" in err
         assert "Traceback" not in err
 
+    def test_network_of_a_story_outside_the_corpus_is_bad_input(self, pipeline, tmp_path, capsys):
+        source, config = pipeline
+        out = tmp_path / "out"
+        shutil.copytree(source / "out", out)
+        with open(out / "networks.jsonl", "r+", encoding="utf-8") as fh:
+            record = json.loads(fh.readline())
+            fh.seek(0, 2)
+            fh.write(json.dumps({**record, "story_id": "ghost"}) + "\n")
+        before = {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()}
+        assert main(["spread", "--config", str(config), "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {out / 'networks.jsonl'}: story 'ghost' is not in corpus.jsonl" in err
+        assert {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()} == before
+
+    @pytest.mark.parametrize(
+        "stage, option",
+        [("build", "lexicon"), ("emotions", "lexicon"), ("preprocess", "conllu"),
+         ("preprocess", "stories_csv"), ("preprocess", "stoplist"),
+         ("preprocess", "lemma_table"), ("build", "relations")],
+    )
+    def test_input_file_that_is_not_utf8_is_bad_input(
+        self, pipeline, tmp_path, capsys, stage, option
+    ):
+        source, config = pipeline
+        out = tmp_path / "out"
+        shutil.copytree(source / "out", out)
+        given = {"lexicon": "lexicon.tsv", "conllu": "stories.conllu", "stories_csv": "stories.csv"}
+        data = (source / given[option]).read_bytes() if option in given else b"aaa\tbbb\tccc\n"
+        bad = tmp_path / "input"
+        bad.write_bytes(data[:5] + b"\xff" + data[5:])
+        before = {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()}
+        argv = [stage, "--config", str(config), "--out-dir", str(out),
+                "--" + option.replace("_", "-"), str(bad)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"error: {bad}: byte 5 is not UTF-8 (invalid start byte)" in err
+        assert "Traceback" not in err
+        assert {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()} == before
+
     def test_reversed_edges_read_as_the_same_network(self, pipeline, tmp_path):
         source, config = pipeline
         out = tmp_path / "out"
@@ -1090,7 +1129,7 @@ class TestMalformedOptionValues:
 
 def _trace(seed, series):
     return activation.ActivationTrace(
-        seed=seed, retention=0.5, seed_series=series, stationary_alpha=series[-1],
+        seed=seed, seed_series=series, stationary_alpha=series[-1],
         converged=True, steps_taken=len(series) - 1,
     )
 

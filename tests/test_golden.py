@@ -2,11 +2,15 @@
 
 The demo corpus is written with a relative `run.ini` (the generator runs in
 the temporary directory), so the config hash inside `results.json` does not
-depend on where the test runs.  A change that alters any of these files
+depend on where the test runs.  The digests must also hold with the built-in
+`sum` of CPython 3.12 and later, which compensates float rounding, so the
+bytes do not depend on the interpreter version.  A change that alters any of these files
 updates the digest here and says why in CHANGES.md.
 """
 
+import builtins
 import hashlib
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -45,7 +49,38 @@ def _tree_digest(root: Path) -> str:
     return h.hexdigest()
 
 
-def test_demo_artifacts_match_golden_digests(tmp_path, monkeypatch):
+def _compensated_sum(iterable, /, start=0):
+    """The built-in `sum` as CPython 3.12 and later run it: after a run of
+    exact ints, exact floats (and machine-size ints) are added with
+    Neumaier's compensation, folded in at the end or before the first other
+    item, which every later item follows by plain addition."""
+    items = iter(iterable)
+    total = start
+    if type(total) is int:
+        for item in items:
+            total = total + item
+            if type(item) not in (int, bool) or not -(2**63) <= total < 2**63:
+                break
+    if type(total) is float:
+        c = 0.0
+        for item in items:
+            if type(item) is float:
+                t = total + item
+                c += (total - t) + item if abs(total) >= abs(item) else (item - t) + total
+                total = t
+            elif isinstance(item, int) and -(2**63) <= item < 2**63:
+                total += float(item)
+            else:
+                total = (total + c if c and math.isfinite(c) else total) + item
+                break
+        else:
+            return total + c if c and math.isfinite(c) else total
+    for item in items:
+        total = total + item
+    return total
+
+
+def _assert_demo_artifacts_match(tmp_path, monkeypatch):
     subprocess.run(
         [sys.executable, str(DEMO_SCRIPT), "."],
         cwd=tmp_path,
@@ -61,3 +96,16 @@ def test_demo_artifacts_match_golden_digests(tmp_path, monkeypatch):
     }
     assert digests == GOLDEN
     assert {name: _tree_digest(tmp_path / "out" / name) for name in GOLDEN_DIRS} == GOLDEN_DIRS
+
+
+def test_demo_artifacts_match_golden_digests(tmp_path, monkeypatch):
+    _assert_demo_artifacts_match(tmp_path, monkeypatch)
+
+
+def test_golden_digests_hold_with_the_compensated_sum_of_python_3_12(tmp_path, monkeypatch):
+    # added left to right, as before 3.12, ten tenths make 0.9999999999999999
+    assert _compensated_sum([0.1] * 10) == 1.0
+    assert _compensated_sum([1e100, 1.0, -1e100, 1.0]) == 2.0
+    assert _compensated_sum([1, 2, True]) == 4 and _compensated_sum([[1]], []) == [1]
+    monkeypatch.setattr(builtins, "sum", _compensated_sum)
+    _assert_demo_artifacts_match(tmp_path, monkeypatch)

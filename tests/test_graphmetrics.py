@@ -19,7 +19,6 @@ from storynets.graphmetrics import (
     density,
     diameter_lcc,
     pagerank,
-    pagerank_centralisation,
     pagerank_centralisations,
     structural_features,
 )
@@ -30,6 +29,7 @@ from oracles import (
     induced_subgraph,
     pagerank_centralisation_reference,
     pagerank_reference,
+    structural_features_alone,
 )
 from test_netbuild import small_graphs
 
@@ -225,16 +225,18 @@ class TestPagerank:
         assert excinfo.value.residual is not None
 
     def test_centralisation_cycle_zero(self):
-        assert pagerank_centralisation(cycle_graph(*"abcde")) == pytest.approx(0.0, abs=1e-9)
+        assert pagerank_centralisations([cycle_graph(*"abcde").index]) == [
+            pytest.approx(0.0, abs=1e-9)
+        ]
 
     def test_centralisation_empty_zero(self):
-        assert pagerank_centralisation(LexicalNetwork(set(), [])) == 0.0
+        assert pagerank_centralisations([LexicalNetwork(set(), []).index]) == [0.0]
 
     def test_centralisation_star_from_oracle(self):
         net = star_graph("h", ["a", "b", "c"])
         reference = oracle_pagerank(net)
         expected = sum(abs(r - 0.25) for r in reference.values()) / 4
-        assert pagerank_centralisation(net) == pytest.approx(expected, abs=1e-8)
+        assert pagerank_centralisations([net.index]) == [pytest.approx(expected, abs=1e-8)]
 
 
 BATCH_CASES = {
@@ -261,7 +263,6 @@ class TestBatchedPagerank:
         net = BATCH_CASES[name]
         want = pagerank_centralisation_reference(net)
         assert _bytes(pagerank_centralisations([net.index])) == _bytes([want])
-        assert _bytes([pagerank_centralisation(net)]) == _bytes([want])
 
     @pytest.mark.parametrize("name", ["path", "star", "k2", "single", "empty"])
     def test_pagerank_of_a_connected_case(self, name):
@@ -291,7 +292,9 @@ class TestBatchedPagerank:
         nets = list(BATCH_CASES.values())
         batched = pagerank_centralisations([net.index for net in nets])
         for net, value in zip(nets, batched):
-            assert structural_features(net, centralisation=value) == structural_features(net)
+            feats = structural_features(net, value)
+            assert _bytes([feats.pagerank_centralisation]) == _bytes([value])
+            assert feats == structural_features_alone(net)
 
     def test_one_unconverged_block_raises(self):
         nets = [BATCH_CASES["k2"], BATCH_CASES["star"]]
@@ -339,7 +342,7 @@ class TestResidualGuard:
 
 class TestStructuralFeatures:
     def test_empty_graph_all_zero(self):
-        f = structural_features(LexicalNetwork(set(), []))
+        f = structural_features_alone(LexicalNetwork(set(), []))
         assert (
             f.n_nodes,
             f.n_edges,
@@ -355,7 +358,7 @@ class TestStructuralFeatures:
         net = build_cooccurrence(
             [make_sentence(["child", "play", "football", "game"])], 3, False
         )
-        f = structural_features(net)
+        f = structural_features_alone(net)
         assert all(type(v) is float for v in f)
         assert f.n_nodes == 4
         assert f.n_edges == 5
@@ -364,7 +367,7 @@ class TestStructuralFeatures:
         assert f.n_components == 1
 
     def test_components_zero_iff_no_nodes(self):
-        assert structural_features(LexicalNetwork({"a"}, [])).n_components == 1
+        assert structural_features_alone(LexicalNetwork({"a"}, [])).n_components == 1
 
 
 class TestOracleAgreement:
@@ -409,7 +412,7 @@ class TestOracleAgreement:
 
 _FEATURES_SCRIPT = """
 import numpy as np
-from storynets.graphmetrics import structural_features
+from storynets.graphmetrics import pagerank_centralisations, structural_features
 from storynets.netbuild import LexicalNetwork
 
 rng = np.random.default_rng(17)
@@ -423,7 +426,9 @@ for _ in range(40):
         for b in labels[i + 1 :]
         if rng.random() < 0.2
     ]
-    print(repr(structural_features(LexicalNetwork(labels, edges))))
+    net = LexicalNetwork(labels, edges)
+    (centralisation,) = pagerank_centralisations([net.index])
+    print(repr(structural_features(net, centralisation)))
 """
 
 
@@ -445,7 +450,7 @@ class TestDeterminism:
 class TestExports:
     def test_features_csv_shape(self, demo_story):
         nets = build_all_variants(demo_story)
-        feats = {("demo1", tag): structural_features(net) for tag, net in nets.items()}
+        feats = {("demo1", tag): structural_features_alone(net) for tag, net in nets.items()}
         lines = list(graphmetrics.feature_rows(feats))
         assert lines[0][:3] == ("story_id", "builder", "n_nodes")
         assert len(lines) == 1 + 7

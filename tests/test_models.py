@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import fit_tree_reference, knn_predict_reference
+from oracles import fit_tree_reference, knn_predict_reference, linear_coefficients
 from synthetic import planted_feature_rows
 
 from storynets.mlharness import (
@@ -87,8 +87,9 @@ class TestLinear:
         X = rng.normal(size=(40, 1))
         y = 2.0 * X[:, 0] + 1.0
         model = fit(ModelSpec("linear"), rows_from_arrays(X, y))
-        assert model.estimator.coef_[0] == pytest.approx(2.0, abs=1e-9)
-        assert model.estimator.intercept_ == pytest.approx(1.0, abs=1e-9)
+        coef, intercept = linear_coefficients(model)
+        assert coef[0] == pytest.approx(2.0, abs=1e-9)
+        assert intercept == pytest.approx(1.0, abs=1e-9)
 
     def test_multifeature_exact_interpolation(self):
         rng = np.random.default_rng(1)
@@ -96,7 +97,7 @@ class TestLinear:
         coef = np.array([1.5, -2.0, 0.25, 3.0])
         y = X @ coef - 0.5
         model = fit(ModelSpec("linear"), rows_from_arrays(X, y))
-        np.testing.assert_allclose(model.estimator.coef_, coef, atol=1e-9)
+        np.testing.assert_allclose(linear_coefficients(model)[0], coef, atol=1e-9)
         preds = predict_matrix(model, X)
         np.testing.assert_allclose(preds, y, atol=1e-9)
 
@@ -166,14 +167,18 @@ class TestKNN:
     def test_blocks_match_one_row_reference_on_ties(self, k):
         # an integer design with few levels, z-scaled as `fit` does: many
         # equal distances, many exact zeros (queries drawn from the training
-        # rows), and a query count that leaves a short last block
+        # rows), a row with a NaN (predicted NaN) and a query count that
+        # leaves a short last block
         rng = np.random.default_rng(100 * k + 1)
         X = rng.integers(0, 3, size=(40, 3)).astype(float)
         scaler = models.Scaler.fit(X)
         knn = models._KNN(scaler.transform(X), rng.normal(size=40), k)
-        queries = np.vstack([X[:13], rng.integers(0, 3, size=(10, 3)), rng.normal(size=(6, 3))])
+        queries = np.vstack([X[:13], rng.integers(0, 3, size=(10, 3)), rng.normal(size=(6, 3)),
+                             [[1.0, np.nan, 0.0]]])
         scaled = scaler.transform(queries)
-        assert knn.predict(scaled).tobytes() == knn_predict_reference(knn, scaled).tobytes()
+        got = knn.predict(scaled)
+        assert np.isnan(got[-1]) and not np.isnan(got[:-1]).any()
+        assert got.tobytes() == knn_predict_reference(knn, scaled).tobytes()
 
     @settings(max_examples=40, deadline=None)
     @given(

@@ -9,6 +9,7 @@ from storynets.mlharness import (
     shapley_attribution,
 )
 
+from oracles import linear_coefficients
 from test_models import rows_from_arrays
 
 
@@ -36,7 +37,7 @@ class TestLinearOracle:
         explained = np.sign(coef) * 2.0 * np.ones((2, coef.size))
         explained[1] *= -1.5
         result = shapley_attribution(model, unrated(explained), n_samples=2000, rng_seed=1)
-        expected = model.estimator.coef_ * (explained - model.background.mean(axis=0))
+        expected = linear_coefficients(model)[0] * (explained - model.background.mean(axis=0))
         rel_err = np.abs(result.values - expected) / np.abs(expected)
         assert rel_err.max() < 0.05
 

@@ -225,13 +225,18 @@ class TestWilcoxon:
                 assert mine.p_value == pytest.approx(ref.p_value, abs=1e-12), (x, y)
 
     def test_normal_path_close_to_exact_at_boundary(self):
-        rng = np.random.default_rng(5)
-        x = rng.normal(size=25)
-        y = x + rng.normal(scale=0.8, size=25)
-        exact = wilcoxon_signed_rank(x, y)
-        assert exact.method == "wilcoxon-signed-rank-exact"
-        forced = wilcoxon_signed_rank(np.concatenate([x, [9.0]]), np.concatenate([y, [1.5]]))
-        assert forced.method == "wilcoxon-signed-rank-normal"
+        # one negative difference, the smallest, so W = 1: of the 2**n sign
+        # assignments, W+ <= 1 for two, and the exact two-sided p is 4 / 2**n
+        d = np.arange(1.0, 27.0)
+        d[0] = -1.0
+        assert wilcoxon_exact_enumeration(d[:12], np.zeros(12)).p_value == 4 / 2**12
+        for n in (12, 25):
+            assert wilcoxon_signed_rank(d[:n], np.zeros(n)).p_value == 4 / 2**n
+        # 26 pairs take the normal approximation with continuity correction:
+        # p = 2 Phi((W - mu + 0.5) / sigma)
+        mu, sigma = 26 * 27 / 4, math.sqrt(26 * 27 * 53 / 24)
+        normal = wilcoxon_signed_rank(d, np.zeros(26))
+        assert normal.p_value == pytest.approx(1 + math.erf((1.5 - mu) / sigma / math.sqrt(2)))
 
 
 class TestCorrelations:
