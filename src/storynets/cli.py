@@ -338,16 +338,15 @@ def _read_jsonl(path, parse):
     non-blank line of an upstream JSON-lines file, in file order; a line that
     does not parse, or repeats a key, is bad input."""
     records = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if line.strip():
-                try:
-                    key, record = parse(line)
-                    if key in records:
-                        raise ValueError(f"repeated record {key!r}")
-                    records[key] = record
-                except (AttributeError, KeyError, TypeError, ValueError) as exc:
-                    raise InputFormatError(f"{path}, line {lineno}: {exc!r}") from None
+    for lineno, line in enumerate(textpipe.open_text(path), start=1):
+        if line.strip():
+            try:
+                key, record = parse(line)
+                if key in records:
+                    raise ValueError(f"repeated record {key!r}")
+                records[key] = record
+            except (AttributeError, KeyError, TypeError, ValueError) as exc:
+                raise InputFormatError(f"{path}, line {lineno}: {exc!r}") from None
     return records
 
 
@@ -541,22 +540,29 @@ def _read_csv(path, names, keys):
     CSV; a missing column, a value that is not a finite number or a repeated
     key is bad input."""
     table = {}
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            try:
-                values = {name: float(row[name]) for name in names}
-                if not all(map(math.isfinite, values.values())):
-                    raise ValueError(f"non-finite value in {values}")
-                node = table
-                for key in keys[:-1]:
-                    node = node.setdefault(row[key], {})
-                if row[keys[-1]] in node:
-                    raise ValueError(f"repeated row {tuple(row[key] for key in keys)!r}")
-                node[row[keys[-1]]] = values
-            except (KeyError, TypeError, ValueError) as exc:
-                raise InputFormatError(f"{path}, line {reader.line_num}: {exc!r}") from None
+    reader = csv.DictReader(textpipe.open_text(path, newline=""))
+    for row in reader:
+        try:
+            values = {name: float(row[name]) for name in names}
+            if not all(map(math.isfinite, values.values())):
+                raise ValueError(f"non-finite value in {values}")
+            node = table
+            for key in keys[:-1]:
+                node = node.setdefault(row[key], {})
+            if row[keys[-1]] in node:
+                raise ValueError(f"repeated row {tuple(row[key] for key in keys)!r}")
+            node[row[keys[-1]]] = values
+        except (KeyError, TypeError, ValueError) as exc:
+            raise InputFormatError(f"{path}, line {reader.line_num}: {exc!r}") from None
     return table
+
+
+def _require_builders(path, table, builders):
+    """A {builder: ...} table of `path` without rows for one of `builders` is
+    bad input."""
+    for builder in builders:
+        if builder not in table:
+            raise InputFormatError(f"{path}: no rows for builder {builder!r}")
 
 
 def _collect_targets(stories, wanted):
@@ -588,9 +594,7 @@ def cmd_evaluate(run):
         targets=_collect_targets(stories, config.targets),
     )
     for path, table in ((features_path, structural), (stationary, alphas)):
-        for builder in config.builders:
-            if builder not in table:
-                raise InputFormatError(f"{path}: no rows for builder {builder!r}")
+        _require_builders(path, table, config.builders)
     # a table's stories do not depend on its feature config
     first_config = config.feature_configs[0]
     smallest = min(
@@ -668,9 +672,9 @@ def _write_attributions(run, features, results, target):
 
 
 def cmd_compare_builders(run):
-    values_by_builder = _read_csv(
-        run.need("features.csv"), graphmetrics.FEATURE_COLUMNS, ("builder", "story_id")
-    )
+    path = run.need("features.csv")
+    values_by_builder = _read_csv(path, graphmetrics.FEATURE_COLUMNS, ("builder", "story_id"))
+    _require_builders(path, values_by_builder, run.config.builders)
     run.write_csv(
         "builder_comparison.csv",
         stats.builder_comparison_rows(
@@ -710,7 +714,7 @@ def _read_results(path):
     """The result rows of `results.json`; a row without one of the fields the
     report reads, or with one of the wrong type, is bad input."""
     try:
-        results = json.loads(path.read_text(encoding="utf-8"))["results"]
+        results = json.load(textpipe.open_text(path))["results"]
         for i, row in enumerate(results):
             if not isinstance(row, dict):
                 raise InputFormatError(f"{path}: result row {i} is not an object")

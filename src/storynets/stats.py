@@ -12,14 +12,50 @@ returns, in the same order: it takes one 32-bit draw per element (PCG64
 hands out the low half of each 64-bit output, then the high half), and
 Lemire's bounded method with range 2 keeps the draw's top bit and never
 rejects (its threshold is (2**32 - 2) % 2 = 0). An even row count keeps
-the halves aligned across chunks. Each row is filled with +-1.0,
-multiplied by the differences and averaged along the row, the same
-arithmetic as one (n_perm, n) matrix, so every p-value is bit-identical
-to the unchunked test (`tests/oracles.py::paired_signflip_test_reference`).
+the halves aligned across chunks.
 `tests/test_stats.py::TestSignFlipStream` checks the raw-word signs
 against `integers(0, 2)`, so a change to numpy's stream fails there.
-"""
 
+The unchunked test (`tests/oracles.py::paired_signflip_test_reference`)
+multiplies a (n_perm, n) matrix of +-1 by the differences d and averages
+each row. Its hit count is matched exactly, without that arithmetic for
+most rows: with the chunk's sign bits b as 0.0/1.0, a row's signed sum is
+2(b.d) - sum(d), so the null mean comes from one matrix-vector product,
+(2(b.d) - sum(d)) / n (`_fast_null`).
+
+- Integer differences with sum(|d|) <= 2**52: every partial sum on either
+  path is an integer no larger than 2**53 in magnitude, so exact, and both
+  paths divide the same exact sum by n. The fast mean is then the row mean
+  bit for bit, and it is compared with |observed| directly.
+- Other differences: `_null_bound` gives E >= |fast - row mean|. A row
+  whose |fast| lies farther than E from |observed| falls on the side the
+  row mean does; the rows within E are averaged the unchunked way
+  (`_row_means`). So the hit counts, and every p-value, are those of the
+  reference.
+
+The bound. Let u = 2**-53 and A = sum(|d|). Every term of every sum (+-d_i
+or b_i d_i) is an exact double, so a sum of n of them computed in any
+order, as any tree of additions, with or without FMA, is within
+g A of the exact sum, g = (n - 1)u / (1 - (n - 1)u) (Higham, Accuracy and
+Stability of Numerical Algorithms, 2nd ed., eq. 4.4; an addition that
+underflows is exact). That holds for BLAS's product whatever its thread
+count or SIMD width, and for numpy's pairwise sums. With S the exact
+signed sum, the reference divides S + e1 by n; the fast path forms
+(2(b.d + e2) - (sum(d) + e3))(1 + r), |e_i| <= g A, |r| <= u, doubling
+being exact, and divides that by n. The two dividends differ by at most
+4gA + u(1 + 3g)A, each is at most (1 + 3g)(1 + u)A in magnitude, and
+each division adds a relative error of u plus an absolute 2**-1075
+below the normal range. So
+
+    |fast - row mean| <= ((4n - 1)u + O(n**2 u**2)) A / n + 2**-1074
+                      <= E = (n + 1) 2**-51 (1 + 2**-8) A' / n + 2**-1073,
+
+where A' is A as computed; the factor 1 + 2**-8 covers the O(n**2 u**2)
+terms, A <= A'(1 + 2g) and the rounding of E itself for any n below
+2**40. The thresholds |observed| +- E are rounded outward. Where A' could
+overflow a sum (above 2**1020) E is infinite and every row is averaged
+the unchunked way.
+"""
 from __future__ import annotations
 
 import math
@@ -33,7 +69,9 @@ ALTERNATIVES = ("two-sided", "less", "greater")
 
 EXACT_WILCOXON_LIMIT = 25
 
-# Signed differences the sign-flip null holds at once (whole rows, at least two).
+# Sign bits the sign-flip null holds at once, as one float64 matrix of whole
+# rows (at least two); its matrix-vector product with d gives the rows' null
+# means, exact for integer d and within `_null_bound` otherwise.
 SIGNFLIP_CHUNK = 1 << 15
 
 
@@ -75,13 +113,49 @@ def _sign_bits(bit_generator, count):
     return np.right_shift(halves, 31, out=halves)
 
 
+def _null_bound(d):
+    """E >= |_fast_null - _row_means| for every sign row of d, derived in the
+    module docstring: 0.0 where the differences are integers whose absolute
+    sum is at most 2**52 (the fast mean is then exact), infinite where that
+    sum passes 2**1020."""
+    n = d.size
+    with np.errstate(over="ignore"):
+        total_abs = float(np.abs(d).sum())
+    if total_abs <= 2.0**52 and np.array_equal(d, np.rint(d)):
+        return 0.0
+    if not total_abs <= 2.0**1020:
+        return math.inf
+    return (n + 1) * 2.0**-51 * (1 + 2.0**-8) * total_abs / n + 2.0**-1073
+
+
+def _fast_null(bits, d, total):
+    """Null means of the sign rows `bits` (0.0 or 1.0) from one matrix-vector
+    product: (2 (bits . d) - total) / n, with total the sum of d."""
+    null = bits @ d
+    null *= 2.0
+    null -= total
+    null /= d.size
+    return null
+
+
+def _row_means(bits, d):
+    """Null means of the sign rows `bits` (0.0 or 1.0) as the unchunked test
+    takes them: each row's +-d averaged along the row."""
+    signed = bits * 2.0
+    signed -= 1.0
+    signed *= d
+    return signed.mean(axis=1)
+
+
 def paired_signflip_test(x, y, n_perm=10_000, rng_seed=0):
     """Mean paired difference against a random sign-flip null, two-sided:
     a hit is a null mean at least as far from 0 as the observed one.
 
     p uses the add-one correction (1 + hits) / (1 + n_perm), so it can
     never reach exactly zero. The null is drawn about SIGNFLIP_CHUNK
-    elements at a time (see the module docstring).
+    elements at a time, and each row's mean comes from one matrix-vector
+    product, or the unchunked arithmetic where its rounding could decide
+    the hit (see the module docstring).
     """
     d = _differences(x, y)
     n = d.size
@@ -90,17 +164,28 @@ def paired_signflip_test(x, y, n_perm=10_000, rng_seed=0):
     if n_perm < 1:
         raise ValueError(f"n_perm must be >= 1, got {n_perm}")
     observed = float(d.mean())
+    target = abs(observed)
+    total = float(d.sum())
+    bound = _null_bound(d)
+    high = np.nextafter(target + bound, math.inf)
+    low = np.nextafter(target - bound, -math.inf)
     bit_generator = np.random.default_rng(rng_seed).bit_generator
     rows = max(2, SIGNFLIP_CHUNK // n // 2 * 2)
-    signed = np.empty((rows, n))
+    buffer = np.empty((rows, n))
     hits = 0
     for start in range(0, n_perm, rows):
         k = min(rows, n_perm - start)
-        chunk = signed[:k]
-        np.multiply(_sign_bits(bit_generator, k * n).reshape(k, n), 2.0, out=chunk)
-        chunk -= 1.0
-        chunk *= d
-        hits += int(np.count_nonzero(np.abs(chunk.mean(axis=1)) >= abs(observed)))
+        bits = buffer[:k]
+        np.copyto(bits, _sign_bits(bit_generator, k * n).reshape(k, n))
+        if bound < math.inf:
+            null = np.abs(_fast_null(bits, d, total))
+            if bound == 0.0:
+                hits += int(np.count_nonzero(null >= target))
+                continue
+            hits += int(np.count_nonzero(null > high))
+            bits = bits[(null >= low) & (null <= high)]
+        if len(bits):
+            hits += int(np.count_nonzero(np.abs(_row_means(bits, d)) >= target))
     p = (1 + hits) / (1 + n_perm)
     return TestResult(observed, p, n)
 

@@ -46,15 +46,20 @@ def default_pronouns():
 
 
 def open_text(path, newline=None):
-    """The UTF-8 file `path`, read whole into a text stream whose lines split
-    as those of `open(path, newline=newline)` do; a byte that is not UTF-8
-    is an InputFormatError naming the file and the byte's offset."""
+    """The UTF-8 file `path`, read whole and checked before any line is read,
+    as a text stream over its bytes in memory: its lines are those of
+    `open(path, newline=newline)`. A byte that is not UTF-8 is an
+    InputFormatError naming the file and the byte's offset."""
     with open(path, "rb") as fh:
         data = fh.read()
-    try:
-        return io.StringIO(data.decode("utf-8"), newline=newline)
-    except UnicodeDecodeError as exc:
-        raise InputFormatError(f"{path}: byte {exc.start} is not UTF-8 ({exc.reason})") from None
+    if not data.isascii():
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise InputFormatError(
+                f"{path}: byte {exc.start} is not UTF-8 ({exc.reason})"
+            ) from None
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline=newline)
 
 
 def load_wordlist(path):

@@ -400,6 +400,49 @@ class TestPipeline:
         assert "Traceback" not in err
         assert {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()} == before
 
+    @pytest.mark.parametrize(
+        "stage, name",
+        [("build", "corpus.jsonl"), ("features", "networks.jsonl"),
+         ("compare-builders", "features.csv")],
+    )
+    def test_upstream_artifact_that_is_not_utf8_is_bad_input(
+        self, pipeline, tmp_path, capsys, stage, name
+    ):
+        source, config = pipeline
+        out = tmp_path / "out"
+        shutil.copytree(source / "out", out)
+        data = (out / name).read_bytes()
+        (out / name).write_bytes(data[:5] + b"\xff" + data[5:])
+        before = {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()}
+        assert main([stage, "--config", str(config), "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1
+        assert f"error: {out / name}: byte 5 is not UTF-8 (invalid start byte)" in err
+        assert "Traceback" not in err
+        assert {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()} == before
+
+    @pytest.mark.parametrize(
+        "content, builder",
+        [(b"", "coocc_WS2"), (b"[]", "coocc_WS2"), (None, "TFMN")],
+        ids=["empty", "brackets", "no-TFMN-rows"],
+    )
+    def test_features_table_without_a_builder_is_bad_input_at_compare_builders(
+        self, pipeline, tmp_path, capsys, content, builder
+    ):
+        source, config = pipeline
+        out = tmp_path / "out"
+        shutil.copytree(source / "out", out)
+        features = out / "features.csv"
+        if content is None:
+            lines = features.read_text(encoding="utf-8").splitlines(keepends=True)
+            content = "".join(line for line in lines if ",TFMN," not in line).encode()
+        features.write_bytes(content)
+        before = {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()}
+        assert main(["compare-builders", "--config", str(config), "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {features}: no rows for builder {builder!r}\n"
+        assert {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()} == before
+
     def test_reversed_edges_read_as_the_same_network(self, pipeline, tmp_path):
         source, config = pipeline
         out = tmp_path / "out"

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from storynets import stats
 from storynets.stats import (
     _average_ranks,
     _sign_bits,
@@ -111,6 +112,92 @@ class TestChunkedSignFlip:
         finally:
             tracemalloc.stop()
         assert peak < 4_000_000
+
+
+def _signed_steps(n, steps):
+    """Differences drawn from `steps`, each with a random sign."""
+    rng = np.random.default_rng(n)
+    return rng.choice(steps, size=n) * rng.choice([-1.0, 1.0], size=n)
+
+
+def _row_counter(monkeypatch):
+    """Counts the null rows `paired_signflip_test` averages the unchunked way."""
+    seen = {"rows": 0}
+    row_means = stats._row_means
+
+    def counting(bits, d):
+        seen["rows"] += bits.shape[0]
+        return row_means(bits, d)
+
+    monkeypatch.setattr(stats, "_row_means", counting)
+    return seen
+
+
+class TestNullGuard:
+    """The null means from one product give the reference's hit counts where
+    rounding could decide a hit: exact ties, and ties that round apart."""
+
+    @pytest.mark.parametrize("n", range(3, 26))
+    def test_integer_ties_are_exact(self, n, monkeypatch):
+        d = _signed_steps(n, [0.0, 1.0])
+        assert stats._null_bound(d) == 0.0
+        seen = _row_counter(monkeypatch)
+        ties = 0
+        for seed in (0, 1, 2):
+            signs = np.random.default_rng(seed).integers(0, 2, size=(997, n)) * 2 - 1
+            ties += np.count_nonzero(np.abs((signs * d).mean(axis=1)) == abs(d.mean()))
+            mine = paired_signflip_test(d, np.zeros(n), 997, seed)
+            assert mine == paired_signflip_test_reference(d, np.zeros(n), 997, seed)
+        assert ties > 0
+        assert seen["rows"] == 0
+
+    def test_ties_that_round_apart_are_recomputed(self, monkeypatch):
+        # sums of +-0.1, +-0.2 and +-0.3 that tie in decimal differ in the
+        # last bits, and the two paths round them differently
+        seen = _row_counter(monkeypatch)
+        for n in range(3, 26):
+            d = _signed_steps(n, [0.1, 0.2, 0.3])
+            for seed in (0, 1):
+                mine = paired_signflip_test(d, np.zeros(n), 2000, seed)
+                assert mine == paired_signflip_test_reference(d, np.zeros(n), 2000, seed), n
+        assert seen["rows"] > 0
+
+    def test_an_error_just_inside_the_bound_keeps_every_p_value(self, monkeypatch):
+        # sums of quarters are exact on both paths, so the perturbation is the
+        # only difference between them
+        fast_null = stats._fast_null
+        noise = np.random.default_rng(99)
+
+        def perturbed(bits, d, total):
+            null = fast_null(bits, d, total)
+            return null + 0.99 * stats._null_bound(d) * noise.choice([-1.0, 1.0], size=null.size)
+
+        monkeypatch.setattr(stats, "_fast_null", perturbed)
+        seen = _row_counter(monkeypatch)
+        for n in range(3, 26):
+            d = _signed_steps(n, [0.25, 0.5, 1.5])
+            assert stats._null_bound(d) > 0.0
+            for seed in (0, 1):
+                mine = paired_signflip_test(d, np.zeros(n), 2000, seed)
+                assert mine == paired_signflip_test_reference(d, np.zeros(n), 2000, seed), n
+        assert seen["rows"] > 0
+
+    def test_bound_covers_the_product_on_spread_out_differences(self):
+        for n in (2, 3, 25, 991):
+            rng = np.random.default_rng(n)
+            d = rng.normal(size=n) * 10.0 ** rng.integers(-300, 300, size=n)
+            bits = rng.integers(0, 2, size=(500, n)).astype(float)
+            error = np.abs(stats._fast_null(bits, d, float(d.sum())) - stats._row_means(bits, d))
+            assert error.max() <= stats._null_bound(d)
+
+    def test_overflowing_sums_average_every_row(self, monkeypatch):
+        seen = _row_counter(monkeypatch)
+        x = np.array([1e308, -1e308, 1e308, 5e307])
+        assert stats._null_bound(x) == math.inf
+        with np.errstate(over="ignore"):
+            mine = paired_signflip_test(x, np.zeros(4), 300, 5)
+            assert mine == paired_signflip_test_reference(x, np.zeros(4), 300, 5)
+        assert seen["rows"] == 300
 
 
 class TestSignFlipStream:
