@@ -5,9 +5,12 @@ compare-builders, report.  An INI config file can supply every option;
 flags override file values.  All artifacts are deterministic for a fixed
 config.  Every artifact is read and written here, through the stage's
 `_Run`, and `main` turns its record into the stage's manifest (config hash,
-input digests, outputs by their name under out_dir).  Each stage owns the
-files matching its `_OUTPUTS` patterns: once it succeeds it removes those it
-did not write, so out_dir is no place for user files of those names.
+input digests, outputs by their name under out_dir).  `_Run.need` returns an
+upstream artifact parsed by its one reader in `_OUTPUTS`: a CSV as the numbers
+of every column its stage writes, a per-network CSV for the run's builders
+only.  Each stage owns the files matching its `_OUTPUTS` patterns: once it
+succeeds it removes those it did not write, so out_dir is no place for user
+files of those names.
 `_write` moves each file into place only once it is complete, so a failed
 stage never leaves a partial file, nor removes one.  `evaluate` reads the
 alphas of the first listed retention only, as they do not depend on it.
@@ -35,6 +38,7 @@ import numpy as np
 
 from . import activation, affect, graphmetrics, netbuild, stats, textpipe
 from .errors import ConvergenceError, InputFormatError, MissingUpstreamError
+from .graphmetrics import FEATURE_COLUMNS
 from .mlharness import (
     CorpusFeatures,
     ModelSpec,
@@ -225,18 +229,25 @@ def resolve_config(args):
 # ---------------------------------------------------------------------------
 # the files of one stage run
 
-# every file each stage writes, as glob patterns under out_dir: `need` names
-# the stage behind an upstream file, and a stage that succeeds removes the
-# files matching its patterns that it did not write
+# every file each stage writes, as glob patterns under out_dir, each with the
+# reader that parses it for the run's builders (None: no stage reads it back):
+# `need` returns an upstream file so parsed, or names the stage behind a
+# missing one, and a stage that succeeds removes the files matching its
+# patterns that it did not write
 _OUTPUTS = {
-    "preprocess": ("corpus.jsonl", "exclusions.csv", "corpus.conllu"),
-    "build": ("networks.jsonl", "edges/*", "graphml/*"),
-    "features": ("features.csv", "histograms/*"),
-    "spread": ("trajectories_r*.csv", "stationary_r*.csv"),
-    "emotions": ("emotions.csv",),
-    "evaluate": ("results.json", "attributions_*.csv"),
-    "compare-builders": ("builder_comparison.csv",),
-    "report": ("report.txt",),
+    "preprocess": {"corpus.jsonl": lambda path, builders: _read_jsonl(path, _story_from_json),
+                   "exclusions.csv": None, "corpus.conllu": None},
+    "build": {"networks.jsonl": lambda path, builders: _read_jsonl(path, _network_from_json),
+              "edges/*": None, "graphml/*": None},
+    "features": {"features.csv": lambda path, builders: _read_csv(path, FEATURE_COLUMNS, builders),
+                 "histograms/*": None},
+    "spread": {"trajectories_r*.csv": None, "stationary_r*.csv":
+               lambda path, builders: _read_csv(path, ("alpha1", "alpha2", "alpha3"), builders)},
+    "emotions": {"emotions.csv": lambda path, builders: _read_csv(path, EMOTION_FEATURE_NAMES)},
+    "evaluate": {"results.json": lambda path, builders: _read_results(path),
+                 "attributions_*.csv": None},
+    "compare-builders": {"builder_comparison.csv": None},
+    "report": {"report.txt": None},
 }
 
 
@@ -277,15 +288,16 @@ class _Run:
         self.outputs = []
 
     def need(self, name):
-        """The upstream artifact `out_dir/name`; a missing one names the stage
-        that writes it."""
+        """The upstream artifact `out_dir/name` as its reader in `_OUTPUTS`
+        parses it for the run's builders, or its path where that is None; a
+        missing one names the stage that writes it."""
         path = self.out / name
+        stage, read = next((s, read) for s, patterns in _OUTPUTS.items()
+                           for p, read in patterns.items() if Path(name).match(p))
         if not path.exists():
-            stage = next(s for s, patterns in _OUTPUTS.items()
-                         if any(Path(name).match(p) for p in patterns))
             raise MissingUpstreamError(path, stage)
         self.inputs[name] = path
-        return path
+        return read(path, self.config.builders) if read else path
 
     def given(self, path):
         """The input file an option names, or None where it names none."""
@@ -355,10 +367,6 @@ def _story_from_json(line):
     return story.id, story
 
 
-def _read_corpus(run):
-    return list(_read_jsonl(run.need("corpus.jsonl"), _story_from_json).values())
-
-
 # ---------------------------------------------------------------------------
 # stages
 
@@ -399,7 +407,7 @@ def cmd_preprocess(run):
 
 def cmd_build(run):
     config = run.config
-    stories = _read_corpus(run)
+    stories = run.need("corpus.jsonl").values()
     relations = netbuild.load_relations(run.given(config.relations)) if config.relations else None
     lexicon = affect.load_lexicon_file(run.given(config.lexicon)) if config.lexicon else None
     if "TFMN" in config.builders:
@@ -449,12 +457,19 @@ def _network_from_json(line):
     return (r["story_id"], r["builder"]), net
 
 
-def _read_networks(run):
-    return _read_jsonl(run.need("networks.jsonl"), _network_from_json)
+def _check_network_stories(run, nets, stories):
+    """A network of `networks.jsonl` whose story is not one of `stories`,
+    those of `corpus.jsonl`, is bad input."""
+    for story_id, _ in nets:
+        if story_id not in stories:
+            raise InputFormatError(
+                f"{run.out / 'networks.jsonl'}: story {story_id!r} is not in corpus.jsonl"
+            )
 
 
 def cmd_features(run):
-    nets = _read_networks(run)
+    nets = run.need("networks.jsonl")
+    _check_network_stories(run, nets, run.need("corpus.jsonl"))
     centralisations = graphmetrics.pagerank_centralisations(
         [net.index for net in nets.values()], damping=run.config.pagerank_damping
     )
@@ -498,22 +513,19 @@ def _write_trajectories(run, name, traces):
 
 
 def cmd_spread(run):
-    stories = _read_corpus(run)
-    nets = _read_networks(run)
+    stories = run.need("corpus.jsonl")
+    nets = run.need("networks.jsonl")
+    _check_network_stories(run, nets, stories)
     netbuild.label_components([net.index for net in nets.values()])
-    nets_by_story = {story.id: {} for story in stories}
+    nets_by_story = {story_id: {} for story_id in stories}
     for (story_id, builder), net in nets.items():
-        if story_id not in nets_by_story:
-            raise InputFormatError(
-                f"{run.out / 'networks.jsonl'}: story {story_id!r} is not in corpus.jsonl"
-            )
         nets_by_story[story_id][builder] = net
     for retention in run.config.retention:
         alphas = [("story_id", "builder", "alpha1", "alpha2", "alpha3")]
 
         def traces():
             # one story's traces at a time; only their alphas are kept
-            for story in stories:
+            for story in stories.values():
                 story_nets = nets_by_story[story.id]
                 if not story_nets:
                     continue
@@ -527,7 +539,7 @@ def cmd_spread(run):
 
 
 def cmd_emotions(run):
-    stories = _read_corpus(run)
+    stories = run.need("corpus.jsonl").values()
     if not run.config.lexicon:
         raise InputFormatError("emotions requires --lexicon")
     lexicon = affect.load_lexicon_file(run.given(run.config.lexicon))
@@ -535,34 +547,32 @@ def cmd_emotions(run):
     run.write_csv("emotions.csv", affect.emotion_rows(profiles))
 
 
-def _read_csv(path, names, keys):
-    """{row[keys[0]]: ... {name: float}} for the named columns of an upstream
-    CSV; a missing column, a value that is not a finite number or a repeated
-    key is bad input."""
-    table = {}
+def _read_csv(path, names, builders=None):
+    """The columns `names` of an upstream CSV: a per-network one as {builder:
+    {story_id: {name: float}}} for `builders` only (other builders' rows are
+    not read), or with `builders` None a per-story one as {story_id: {name:
+    float}}.  A missing column, a value that is not a finite number, a
+    repeated key or one of `builders` without rows is bad input."""
+    keys = ("story_id",) if builders is None else ("builder", "story_id")
+    table = {} if builders is None else {builder: {} for builder in builders}
     reader = csv.DictReader(textpipe.open_text(path, newline=""))
     for row in reader:
         try:
+            node = table if builders is None else table.get(row["builder"])
+            if node is None and row["builder"] is not None:
+                continue  # a builder this run does not read
             values = {name: float(row[name]) for name in names}
             if not all(map(math.isfinite, values.values())):
                 raise ValueError(f"non-finite value in {values}")
-            node = table
-            for key in keys[:-1]:
-                node = node.setdefault(row[key], {})
-            if row[keys[-1]] in node:
+            if row["story_id"] in node:
                 raise ValueError(f"repeated row {tuple(row[key] for key in keys)!r}")
-            node[row[keys[-1]]] = values
+            node[row["story_id"]] = values
         except (KeyError, TypeError, ValueError) as exc:
             raise InputFormatError(f"{path}, line {reader.line_num}: {exc!r}") from None
-    return table
-
-
-def _require_builders(path, table, builders):
-    """A {builder: ...} table of `path` without rows for one of `builders` is
-    bad input."""
-    for builder in builders:
-        if builder not in table:
+    for builder in builders or ():
+        if not table[builder]:
             raise InputFormatError(f"{path}: no rows for builder {builder!r}")
+    return table
 
 
 def _collect_targets(stories, wanted):
@@ -580,21 +590,15 @@ def _collect_targets(stories, wanted):
 
 def cmd_evaluate(run):
     config = run.config
-    features_path = run.need("features.csv")
-    stationary = run.need(f"stationary_r{config.retention[0]:g}.csv")
-    emotions = run.need("emotions.csv")
-    stories = _read_corpus(run)
-    per_cell = ("builder", "story_id")
-    structural = _read_csv(features_path, graphmetrics.STRUCTURAL_FEATURE_NAMES, per_cell)
-    alphas = _read_csv(stationary, ("alpha1", "alpha2", "alpha3"), per_cell)
     features = CorpusFeatures(
-        structural=structural,
-        alphas={b: {s: tuple(a.values()) for s, a in rows.items()} for b, rows in alphas.items()},
-        emotions=_read_csv(emotions, EMOTION_FEATURE_NAMES, ("story_id",)),
-        targets=_collect_targets(stories, config.targets),
+        structural=run.need("features.csv"),
+        alphas={
+            b: {s: tuple(a.values()) for s, a in rows.items()}
+            for b, rows in run.need(f"stationary_r{config.retention[0]:g}.csv").items()
+        },
+        emotions=run.need("emotions.csv"),
+        targets=_collect_targets(run.need("corpus.jsonl").values(), config.targets),
     )
-    for path, table in ((features_path, structural), (stationary, alphas)):
-        _require_builders(path, table, config.builders)
     # a table's stories do not depend on its feature config
     first_config = config.feature_configs[0]
     smallest = min(
@@ -672,13 +676,10 @@ def _write_attributions(run, features, results, target):
 
 
 def cmd_compare_builders(run):
-    path = run.need("features.csv")
-    values_by_builder = _read_csv(path, graphmetrics.FEATURE_COLUMNS, ("builder", "story_id"))
-    _require_builders(path, values_by_builder, run.config.builders)
     run.write_csv(
         "builder_comparison.csv",
         stats.builder_comparison_rows(
-            values_by_builder, n_perm=run.config.n_perm, rng_seed=run.config.rng_seed
+            run.need("features.csv"), n_perm=run.config.n_perm, rng_seed=run.config.rng_seed
         ),
     )
 
@@ -686,16 +687,12 @@ def cmd_compare_builders(run):
 def _retention_finding(run):
     """One report line: whether the stationary alphas change with retention."""
     retention = run.config.retention
-    tables = []
-    for r in retention:
-        path = run.need(f"stationary_r{r:g}.csv")
-        table = _read_csv(path, ("alpha1", "alpha2", "alpha3"), ("story_id", "builder"))
-        tables.append({
-            (story_id, builder, name): value
-            for story_id, per_builder in table.items()
-            for builder, alphas in per_builder.items()
-            for name, value in alphas.items()
-        })
+    tables = [
+        {(builder, story_id, name): value
+         for builder, per_story in run.need(f"stationary_r{r:g}.csv").items()
+         for story_id, alphas in per_story.items() for name, value in alphas.items()}
+        for r in retention
+    ]
     head = "stationary alphas across retention " + ", ".join(f"{r:g}" for r in retention)
     if any(t.keys() != tables[0].keys() for t in tables):
         return f"{head}: the files cover different networks"
@@ -733,7 +730,7 @@ def _read_results(path):
 
 
 def cmd_report(run):
-    results = _read_results(run.need("results.json"))
+    results = run.need("results.json")
     lines = ["storynets evaluation report", "=" * 60]
     real = [r for r in results if not r["permuted"]]
     permuted = {

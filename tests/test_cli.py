@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from storynets import activation, cli, graphmetrics
+from storynets import activation, cli, graphmetrics, stats
 from storynets.cli import RunConfig, build_arg_parser, config_hash, main, resolve_config
 from storynets.mlharness import ModelSpec, cv, run_matrix
 
@@ -50,12 +50,16 @@ def head_cycle(line):
     return json.dumps(record)
 
 
-def nan_density(lines):
-    """Line 4 of `features.csv` with its density cell set to nan."""
-    header = lines[0].split(",")
-    cells = lines[3].split(",")
-    cells[header.index("density")] = "nan"
-    return ",".join(cells)
+def set_cell(column, text):
+    """A damage: line 4 of `features.csv` with its `column` cell set to `text`."""
+
+    def damage(lines):
+        header = lines[0].split(",")
+        cells = lines[3].split(",")
+        cells[header.index(column)] = text
+        return ",".join(cells)
+
+    return damage
 
 
 def synth_story(story_id, prompts, rng, drop_prompt=False):
@@ -245,14 +249,20 @@ class TestPipeline:
     @pytest.mark.parametrize(
         "stage, name, damage",
         [
-            ("evaluate", "features.csv", nan_density),
-            ("compare-builders", "features.csv", nan_density),
+            ("evaluate", "features.csv", set_cell("density", "nan")),
+            ("compare-builders", "features.csv", set_cell("density", "nan")),
             ("evaluate", "features.csv", lambda lines: lines[2]),
             ("compare-builders", "features.csv", lambda lines: lines[2]),
             ("evaluate", "emotions.csv", lambda lines: lines[2]),
+            ("evaluate", "features.csv", set_cell("n_components", "nan")),
+            ("evaluate", "features.csv", lambda lines: lines[3] + '"'),
+            ("evaluate", "features.csv", lambda lines: lines[3].rsplit(",", 1)[0]),
+            ("compare-builders", "features.csv", lambda lines: lines[3].split(",")[0]),
         ],
         ids=["evaluate", "compare-builders", "repeated-row-at-evaluate",
-             "repeated-row-at-compare-builders", "repeated-emotions-row"],
+             "repeated-row-at-compare-builders", "repeated-emotions-row",
+             "nan-n-components-at-evaluate", "stray-quote-at-evaluate",
+             "short-row-at-evaluate", "row-without-builder-at-compare-builders"],
     )
     def test_non_finite_feature_is_bad_input(
         self, pipeline, tmp_path, capsys, stage, name, damage
@@ -370,10 +380,11 @@ class TestPipeline:
             fh.seek(0, 2)
             fh.write(json.dumps({**record, "story_id": "ghost"}) + "\n")
         before = {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()}
-        assert main(["spread", "--config", str(config), "--out-dir", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert f"error: {out / 'networks.jsonl'}: story 'ghost' is not in corpus.jsonl" in err
-        assert {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()} == before
+        for stage in ("spread", "features"):
+            assert main([stage, "--config", str(config), "--out-dir", str(out)]) == 2, stage
+            err = capsys.readouterr().err
+            assert f"error: {out / 'networks.jsonl'}: story 'ghost' is not in corpus.jsonl" in err
+            assert {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()} == before
 
     @pytest.mark.parametrize(
         "stage, option",
@@ -442,6 +453,70 @@ class TestPipeline:
         err = capsys.readouterr().err
         assert err == f"error: {features}: no rows for builder {builder!r}\n"
         assert {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()} == before
+
+    def test_compare_builders_compares_the_run_builders_only(self, pipeline, tmp_path):
+        source, config = pipeline
+        out = tmp_path / "out"
+        shutil.copytree(source / "out", out)
+        argv = ["compare-builders", "--config", str(config), "--out-dir", str(out),
+                "--builders", "TFMN,coocc_WS2"]
+        assert main(argv) == 0
+        with open(out / "builder_comparison.csv", encoding="utf-8", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 8
+        assert {(row["builder_a"], row["builder_b"]) for row in rows} == {("TFMN", "coocc_WS2")}
+        p_raw = [float(row["p_raw"]) for row in rows]
+        assert [float(row["p_bh"]) for row in rows] == list(stats.bh_fdr(p_raw))
+
+    def test_run_builder_without_alphas_is_bad_input_at_report(self, pipeline, tmp_path, capsys):
+        source, config = pipeline
+        out = tmp_path / "out"
+        shutil.copytree(source / "out", out)
+        stationary = out / "stationary_r0.2.csv"
+        lines = stationary.read_text(encoding="utf-8").splitlines(keepends=True)
+        stationary.write_text("".join(line for line in lines if ",coocc_WS3," not in line),
+                              encoding="utf-8")
+        before = {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()}
+        argv = ["report", "--config", str(config), "--out-dir", str(out), "--retention", "0.2,0.5"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"error: {stationary}: no rows for builder 'coocc_WS3'\n"
+        )
+        assert {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()} == before
+
+    @pytest.mark.parametrize(
+        "stage, name, producer",
+        [
+            ("build", "corpus.jsonl", "preprocess"),
+            ("features", "networks.jsonl", "build"),
+            ("features", "corpus.jsonl", "preprocess"),
+            ("spread", "corpus.jsonl", "preprocess"),
+            ("spread", "networks.jsonl", "build"),
+            ("emotions", "corpus.jsonl", "preprocess"),
+            ("evaluate", "features.csv", "features"),
+            ("evaluate", "stationary_r0.2.csv", "spread"),
+            ("evaluate", "emotions.csv", "emotions"),
+            ("evaluate", "corpus.jsonl", "preprocess"),
+            ("compare-builders", "features.csv", "features"),
+            ("report", "results.json", "evaluate"),
+            ("report", "stationary_r0.2.csv", "spread"),
+            ("report", "stationary_r0.8.csv", "spread"),
+        ],
+    )
+    def test_missing_input_names_its_producer(
+        self, pipeline, tmp_path, capsys, stage, name, producer
+    ):
+        source, config = pipeline
+        out = tmp_path / "out"
+        shutil.copytree(source / "out", out)
+        (out / name).unlink()
+        before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+        assert main([stage, "--config", str(config), "--out-dir", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            f"error: missing upstream artifact {str(out / name)!r}: "
+            f"run the {producer!r} stage first\n"
+        )
+        assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
 
     def test_reversed_edges_read_as_the_same_network(self, pipeline, tmp_path):
         source, config = pipeline
@@ -584,7 +659,7 @@ class TestPipeline:
         shutil.copytree(source / "out", out)
         argv = ["build", "--config", str(config), "--out-dir", str(out), "--export-graphml"]
         assert main(argv) == 0
-        nets = dict(cli._read_networks(cli._Run(RunConfig(out_dir=str(out)))))
+        nets = cli._Run(RunConfig(out_dir=str(out))).need("networks.jsonl")
         files = sorted((out / "graphml").iterdir())
         assert [p.name for p in files] == sorted(f"{s}__{b}.graphml" for s, b in nets)
         for path in files:
