@@ -120,7 +120,7 @@ def run_to_stationarity(
     silently.  `mass_drift` records the worst deviation of total mass from
     N seen while running.
     """
-    if seed not in net.nodes:
+    if seed not in net.index.position:
         raise MissingSeedError(seed)
     (trace,) = _diffuse([(net, seed)], retention, tol, max_iter)
     return trace
@@ -131,7 +131,7 @@ def stationary_oracle(net, seed):
 
     Degree-0 seeds keep the full mass N.
     """
-    if seed not in net.nodes:
+    if seed not in net.index.position:
         raise MissingSeedError(seed)
     index = net.index
     i = index.position[seed]
@@ -165,12 +165,12 @@ def prompt_alphas(story, nets, retention=DEFAULT_RETENTION):
     is exported.  Returns {builder_tag: (trace1, trace2, trace3)}.
     """
     seeds = [m.matched_node if m.matched else m.prompt_lemma for m in match_prompts(story)]
-    runs = [(net, seed) for net in nets.values() for seed in seeds if seed in net.nodes]
+    runs = [(net, seed) for net in nets.values() for seed in seeds if seed in net.index.position]
     diffused = iter(_diffuse(runs, retention, DEFAULT_TOLERANCE, TRACE_EXPORT_STEPS))
     return {
         tag: tuple(
             replace(next(diffused), stationary_alpha=stationary_oracle(net, seed), converged=True)
-            if seed in net.nodes
+            if seed in net.index.position
             else _isolated_seed_trace(seed, net.n_nodes)
             for seed in seeds
         )

@@ -141,11 +141,11 @@ def config_hash(config):
 
 
 def load_config_file(path):
-    """The [storynets] section of an INI file as {field: text}."""
+    """The [storynets] section of an INI file, read by `textpipe.open_text`,
+    as {field: text}."""
     parser = configparser.ConfigParser()
     try:
-        if not parser.read(path):
-            raise InputFormatError(f"cannot read config file {path}")
+        parser.read_file(textpipe.open_text(path), path)
         values = dict(parser["storynets"])
     except KeyError:
         raise InputFormatError(f"{path}: missing [storynets] section") from None
@@ -430,8 +430,8 @@ def cmd_build(run):
                 record = {
                     "story_id": story.id,
                     "builder": tag,
-                    "nodes": sorted(net.nodes),
-                    "edges": [list(e) for e in sorted(net.edges)],
+                    "nodes": net.index.nodes,
+                    "edges": net.index.edge_pairs(),
                     "valence": {n: net.valence[n] for n in sorted(net.valence)},
                 }
                 fh.write(json.dumps(record, ensure_ascii=False) + "\n")
@@ -552,12 +552,13 @@ def _read_csv(path, names, builders=None):
     {story_id: {name: float}}} for `builders` only (other builders' rows are
     not read), or with `builders` None a per-story one as {story_id: {name:
     float}}.  A missing column, a value that is not a finite number, a
-    repeated key or one of `builders` without rows is bad input."""
+    repeated key, a line the csv module refuses (a cell over its field size
+    limit, say) or one of `builders` without rows is bad input."""
     keys = ("story_id",) if builders is None else ("builder", "story_id")
     table = {} if builders is None else {builder: {} for builder in builders}
     reader = csv.DictReader(textpipe.open_text(path, newline=""))
-    for row in reader:
-        try:
+    try:
+        for row in reader:
             node = table if builders is None else table.get(row["builder"])
             if node is None and row["builder"] is not None:
                 continue  # a builder this run does not read
@@ -567,8 +568,9 @@ def _read_csv(path, names, builders=None):
             if row["story_id"] in node:
                 raise ValueError(f"repeated row {tuple(row[key] for key in keys)!r}")
             node[row["story_id"]] = values
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InputFormatError(f"{path}, line {reader.line_num}: {exc!r}") from None
+    except (KeyError, TypeError, ValueError, csv.Error) as exc:
+        # the csv reader's own count: a DictReader's lags on a line it cannot read
+        raise InputFormatError(f"{path}, line {reader.reader.line_num}: {exc!r}") from None
     for builder in builders or ():
         if not table[builder]:
             raise InputFormatError(f"{path}: no rows for builder {builder!r}")

@@ -5,7 +5,8 @@ kept or removed) and one dependency-radius network with valence
 annotation, negation flipping and optional relation-file enrichment.
 All networks are simple, undirected and unweighted.
 
-Each network has one `GraphIndex`, a sorted-node CSR form.  Batched work
+Each network is stored as one `GraphIndex`, a sorted-node CSR form whose
+order is the canonical order of every export.  Batched work
 reads a `GraphBatch`: many indexes laid out as one block-diagonal CSR
 graph (a disjoint union, as in PyTorch Geometric's mini-batches), each
 block's rows and indices offset by its start.  A node's neighbours keep
@@ -17,7 +18,7 @@ and `label_components` labels a whole stage's networks in one pass.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -42,7 +43,7 @@ VALENCES = ("positive", "negative", "neutral")
 
 @dataclass(frozen=True, eq=False)
 class GraphIndex:
-    """Sorted-node CSR form of a network, read by metrics, PageRank and activation.
+    """Sorted-node CSR form of a network: the one form a `LexicalNetwork` stores.
 
     Node `i` is the i-th lemma in sorted order.  `rows` and `indices` list
     every (node, neighbour) entry in CSR order, each node's neighbours in
@@ -69,6 +70,12 @@ class GraphIndex:
     def members(self, label):
         """Sorted positions of the nodes in one component."""
         return np.flatnonzero(self.component == label)
+
+    def edge_pairs(self):
+        """Each edge once as its (smaller, larger) node pair, in CSR order: sorted."""
+        upper = self.rows < self.indices
+        return [(self.nodes[i], self.nodes[j])
+                for i, j in zip(self.rows[upper].tolist(), self.indices[upper].tolist())]
 
     def dense_adjacency(self):
         adj = np.zeros((len(self.nodes),) * 2, dtype=np.float32)
@@ -189,65 +196,56 @@ def label_components(indexes):
             vars(index)["component"] = labels[start : start + size]  # the cached_property's slot
 
 
-@dataclass(frozen=True)
 class LexicalNetwork:
-    """Simple undirected graph over lemma labels.
+    """Simple undirected graph over lemma labels, stored as its `GraphIndex`.
 
-    Built from any node iterable and any (a, b) pairs, each a 2-item tuple
-    or list: `nodes` becomes a frozenset and `edges` the frozenset of each
-    pair's sorted form, so a pair given reversed or repeated is one edge.
-    `valence` holds per-node labels once `annotate_valence` has run (nodes
-    absent from it count as neutral).
+    Built in one pass from any node iterable and any (a, b) pairs, each a
+    2-item tuple or list, so a pair given reversed or repeated is one edge.
+    `nodes` and `edges` (each edge as its sorted pair) are frozensets built
+    from the index on first use.  `valence` holds per-node labels once
+    `annotate_valence` has run (nodes absent from it count as neutral).
     """
 
-    nodes: frozenset[str]
-    edges: frozenset[tuple[str, str]]
-    builder_tag: str = ""
-    valence: dict[str, str] = field(default_factory=dict)
-
-    def __post_init__(self):
-        nodes = frozenset(self.nodes)
+    def __init__(self, nodes, edges, builder_tag="", valence=None):
+        nodes = frozenset(nodes)
         for node in nodes:
             if not isinstance(node, str):
                 raise ValueError(f"node {node!r} is not a string")
-        edges = set()
-        for edge in self.edges:
+        nodes = tuple(sorted(nodes))
+        position = {node: i for i, node in enumerate(nodes)}
+        pairs = set()
+        for edge in edges:
             if not isinstance(edge, (tuple, list)) or len(edge) != 2:
                 raise ValueError(f"edge {edge!r} is not a pair")
             a, b = edge
             if a == b:
                 raise ValueError(f"self-loop on {a!r}")
-            if a not in nodes or b not in nodes:
+            if a not in position or b not in position:
                 raise ValueError(f"edge {(a, b)!r} has an endpoint outside the node set")
-            edges.add((a, b) if a < b else (b, a))
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "edges", frozenset(edges))
+            pairs.add((position[a], position[b]) if a < b else (position[b], position[a]))
+        self.valence = {} if valence is None else valence
         for node, val in self.valence.items():
-            if node not in nodes:
+            if node not in position:
                 raise ValueError(f"valence for {node!r}, which is not a node")
             if val not in VALENCES:
                 raise ValueError(f"bad valence {val!r} for node {node!r}")
-
-    @property
-    def n_nodes(self):
-        return len(self.nodes)
-
-    @property
-    def n_edges(self):
-        return len(self.edges)
-
-    @cached_property
-    def index(self):
-        """The network's `GraphIndex`, built on first use and kept."""
-        nodes = tuple(sorted(self.nodes))
-        position = {node: i for i, node in enumerate(nodes)}
-        pairs = np.array(
-            [(position[a], position[b]) for a, b in self.edges], dtype=np.int64
-        ).reshape(-1, 2)
+        pairs = np.array(list(pairs), dtype=np.int64).reshape(-1, 2)
         src, dst = np.concatenate([pairs, pairs[:, ::-1]]).T
         order = np.lexsort((dst, src))
         degree = np.bincount(src, minlength=len(nodes))
-        return GraphIndex(nodes, position, src[order], dst[order], degree)
+        self.index = GraphIndex(nodes, position, src[order], dst[order], degree)
+        self.builder_tag = builder_tag
+
+    nodes = cached_property(lambda self: frozenset(self.index.nodes))
+    edges = cached_property(lambda self: frozenset(self.index.edge_pairs()))
+
+    @property
+    def n_nodes(self):
+        return len(self.index.nodes)
+
+    @property
+    def n_edges(self):
+        return self.index.indices.size // 2
 
     def adjacency(self):
         adj = {node: set() for node in self.nodes}
@@ -352,7 +350,7 @@ def annotate_valence(net, lexicon, occurrences=()):
     neutral.  Nodes never seen in the stream fall back to a single
     unnegated lexicon lookup.
     """
-    votes = {node: 0 for node in net.nodes}
+    votes = {node: 0 for node in net.index.nodes}
     seen = set()
     for lemma, negated in occurrences:
         if lemma not in votes:
@@ -367,7 +365,7 @@ def annotate_valence(net, lexicon, occurrences=()):
         votes[lemma] += vote
         seen.add(lemma)
     valence = {}
-    for node in net.nodes:
+    for node in net.index.nodes:
         score = votes[node]
         if node not in seen:
             score = (node in lexicon.positive_words) - (node in lexicon.negative_words)
@@ -377,7 +375,7 @@ def annotate_valence(net, lexicon, occurrences=()):
             valence[node] = "negative"
         else:
             valence[node] = "neutral"
-    return LexicalNetwork(net.nodes, net.edges, net.builder_tag, valence)
+    return LexicalNetwork(net.index.nodes, net.index.edge_pairs(), net.builder_tag, valence)
 
 
 def add_semantic_edges(net, relations):
@@ -407,10 +405,10 @@ def build_all_variants(story, radius=3, relations=None, lexicon=None):
 
 
 def edge_rows(net):
-    """Header, then the edges as (source, target) in canonical pair order,
-    lexicographically sorted."""
+    """Header, then the edges as (source, target) in the index's canonical
+    order, lexicographically sorted."""
     yield ("source", "target")
-    yield from sorted(net.edges)
+    yield from net.index.edge_pairs()
 
 
 def _xml_escape(s):
@@ -430,12 +428,12 @@ def graphml(net):
         '  <key id="valence" for="node" attr.name="valence" attr.type="string"/>',
         '  <graph edgedefault="undirected">',
     ]
-    for node in sorted(net.nodes):
+    for node in net.index.nodes:
         out.append(
             f'    <node id="{_xml_escape(node)}">'
             f'<data key="valence">{net.node_valence(node)}</data></node>'
         )
-    for a, b in sorted(net.edges):
+    for a, b in net.index.edge_pairs():
         out.append(f'    <edge source="{_xml_escape(a)}" target="{_xml_escape(b)}"/>')
     out.append("  </graph>")
     out.append("</graphml>")

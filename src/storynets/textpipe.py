@@ -48,10 +48,14 @@ def default_pronouns():
 def open_text(path, newline=None):
     """The UTF-8 file `path`, read whole and checked before any line is read,
     as a text stream over its bytes in memory: its lines are those of
-    `open(path, newline=newline)`. A byte that is not UTF-8 is an
-    InputFormatError naming the file and the byte's offset."""
+    `open(path, newline=newline)`. A byte that is not UTF-8, or a NUL byte
+    (which no file the program writes holds), is an InputFormatError naming
+    the file and the byte's offset."""
     with open(path, "rb") as fh:
         data = fh.read()
+    nul = data.find(b"\0")
+    if nul >= 0:
+        raise InputFormatError(f"{path}: byte {nul} is NUL")
     if not data.isascii():
         try:
             data.decode("utf-8")
@@ -513,6 +517,17 @@ def story_from_json(line):
     )
 
 
+def _csv_rows(lines, source):
+    """The rows `csv.reader` reads from `lines`; a csv.Error is an
+    InputFormatError naming `source` and the row it stopped at."""
+    rowno = 0
+    try:
+        for rowno, row in enumerate(csv.reader(lines), start=1):
+            yield row
+    except csv.Error as exc:
+        raise InputFormatError(f"{source}: row {rowno + 1}: {exc}") from None
+
+
 def read_stories_csv(path, lemma_table, stoplist, pronouns, conllu_sentences=None):
     """Build Story objects from the corpus CSV.
 
@@ -521,10 +536,11 @@ def read_stories_csv(path, lemma_table, stoplist, pronouns, conllu_sentences=Non
     supplies a parse for a story id, the parsed sentences replace the
     plain-text tokenisation.  A row with the wrong number of cells, a
     repeated id, a rating that is not an integer, or values `Story` refuses
-    is an InputFormatError naming its row.
+    is an InputFormatError naming its row, as is one the csv module refuses
+    (a cell over its field size limit, say).
     """
     stories = []
-    reader = csv.reader(open_text(path, newline=""))
+    reader = _csv_rows(open_text(path, newline=""), path)
     header = next(reader, None)
     if header is None:
         return []

@@ -23,7 +23,10 @@ weights to raw-feature coefficients;
 `trajectory_rows_reference` gives the trajectory CSV cells that
 `cli._write_trajectories` must write byte for byte as `csv.writer` would;
 `component_labels_reference` ranks components found by breadth-first
-search, the labels that the batched min-label propagation must give.
+search, the labels that the batched min-label propagation must give;
+`network_reference` builds a network in two passes, its node and edge
+frozensets first and its `GraphIndex` from them, the sets and arrays that
+`LexicalNetwork`'s one pass must give bit for bit.
 """
 
 import hashlib
@@ -48,7 +51,7 @@ from storynets.activation import (
 from storynets.errors import ConvergenceError
 from storynets.graphmetrics import pagerank_centralisations, structural_features
 from storynets.mlharness.trees import TreeArrays
-from storynets.netbuild import LexicalNetwork
+from storynets.netbuild import GraphIndex, LexicalNetwork
 from storynets.stats import TestResult, _check_alternative
 from storynets.textpipe import match_prompts
 
@@ -124,6 +127,23 @@ def induced_subgraph(net, keep):
         builder_tag=net.builder_tag,
         valence={n: v for n, v in net.valence.items() if n in keep},
     )
+
+
+def network_reference(nodes, edges):
+    """(node frozenset, edge frozenset, GraphIndex) of valid `nodes` and
+    (a, b) `edges`: each edge kept once as its sorted pair, then the index
+    built from the two sets."""
+    nodes = frozenset(nodes)
+    edges = frozenset((a, b) if a < b else (b, a) for a, b in edges)
+    ordered = tuple(sorted(nodes))
+    position = {node: i for i, node in enumerate(ordered)}
+    pairs = np.array(
+        [(position[a], position[b]) for a, b in edges], dtype=np.int64
+    ).reshape(-1, 2)
+    src, dst = np.concatenate([pairs, pairs[:, ::-1]]).T
+    order = np.lexsort((dst, src))
+    degree = np.bincount(src, minlength=len(ordered))
+    return nodes, edges, GraphIndex(ordered, position, src[order], dst[order], degree)
 
 
 def edge_hash(net):

@@ -258,11 +258,14 @@ class TestPipeline:
             ("evaluate", "features.csv", lambda lines: lines[3] + '"'),
             ("evaluate", "features.csv", lambda lines: lines[3].rsplit(",", 1)[0]),
             ("compare-builders", "features.csv", lambda lines: lines[3].split(",")[0]),
+            # over the csv module's field size limit of 131,072 characters
+            ("compare-builders", "features.csv", set_cell("density", "1" * 131_073)),
         ],
         ids=["evaluate", "compare-builders", "repeated-row-at-evaluate",
              "repeated-row-at-compare-builders", "repeated-emotions-row",
              "nan-n-components-at-evaluate", "stray-quote-at-evaluate",
-             "short-row-at-evaluate", "row-without-builder-at-compare-builders"],
+             "short-row-at-evaluate", "row-without-builder-at-compare-builders",
+             "oversize-cell-at-compare-builders"],
     )
     def test_non_finite_feature_is_bad_input(
         self, pipeline, tmp_path, capsys, stage, name, damage
@@ -1013,12 +1016,13 @@ class TestExitCodes:
         "story_id", ["", "a/b", "../../escaped", "a\\b", "a\0b", "a__b"]
     )
     def test_unsafe_story_id_is_bad_input(self, tmp_path, story_id):
+        # the rows are written as bytes: Python 3.10's csv.writer refuses a NUL
         stories_csv = tmp_path / "unsafe.csv"
-        with open(stories_csv, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["id", "prompt1", "prompt2", "prompt3", "text", "R"])
-            writer.writerow(["ok", "cat", "dog", "sun", "Cat dog sun walk.", "3"])
-            writer.writerow([story_id, "cat", "dog", "sun", "Cat dog sun walk.", "3"])
+        stories_csv.write_bytes(
+            b"id,prompt1,prompt2,prompt3,text,R\n"
+            b"ok,cat,dog,sun,Cat dog sun walk.,3\n"
+            + f'"{story_id}",cat,dog,sun,Cat dog sun walk.,3\n'.encode("utf-8")
+        )
         out = tmp_path / "out_unsafe"
         assert main(["preprocess", "--stories-csv", str(stories_csv), "--out-dir", str(out)]) == 2
         assert not (out / "corpus.jsonl").exists()
@@ -1232,11 +1236,12 @@ class TestMalformedOptionValues:
             "[storynets]\nfolds = 2\nfolds = 3\n",
             "[storynets]\nout_dir = o%1\n",  # bad interpolation
             "[storynets]\nenrich_tfmn = yes\n",  # unknown key
+            b"[storynets]\nout_dir = \xff\n",  # not UTF-8
         ],
     )
     def test_malformed_ini_file_exits_2(self, tmp_path, capsys, text):
         ini = tmp_path / "bad.ini"
-        ini.write_text(text, encoding="utf-8")
+        ini.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
         assert main(["report", "--config", str(ini)]) == 2
         assert "error:" in capsys.readouterr().err
 

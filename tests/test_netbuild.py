@@ -1,12 +1,15 @@
 import itertools
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from storynets import netbuild
+from storynets import cli, netbuild
 from storynets.errors import InputFormatError
 from storynets.netbuild import (
     BUILDER_TAGS,
@@ -22,7 +25,7 @@ from storynets.netbuild import (
 )
 
 from conftest import make_sentence, make_token
-from oracles import component_labels_reference, edge_hash, parse_graphml
+from oracles import component_labels_reference, edge_hash, network_reference, parse_graphml
 
 CHILD_PLAY = make_sentence(["child", "play", "football", "game"])
 
@@ -430,3 +433,83 @@ class TestGraphBatch:
         label_components([net.index for net in nets])
         assert nets[0].index.component is first  # already labelled: left alone
         assert [net.index.component.tolist() for net in nets] == [[1, 2, 0, 0], [0, 0]]
+
+
+DEMO_SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "make_demo_corpus.py"
+
+
+@pytest.fixture(scope="module")
+def demo_run(tmp_path_factory):
+    """The demo corpus through `preprocess` and `build`, with the (nodes,
+    edges) arguments and result of every network construction in `build`."""
+    root = tmp_path_factory.mktemp("demo")
+    subprocess.run([sys.executable, str(DEMO_SCRIPT), str(root)], check=True, capture_output=True)
+    config = str(root / "run.ini")
+    assert cli.main(["preprocess", "--config", config]) == 0
+    built = []
+    construct = LexicalNetwork.__init__
+
+    def recording(self, nodes, edges, *args, **kwargs):
+        nodes, edges = list(nodes), list(edges)
+        construct(self, nodes, edges, *args, **kwargs)
+        built.append((nodes, edges, self))
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(LexicalNetwork, "__init__", recording)
+        assert cli.main(["build", "--config", config]) == 0
+    return config, built
+
+
+def assert_matches_reference(net, nodes, edges):
+    ref_nodes, ref_edges, ref = network_reference(nodes, edges)
+    index = net.index
+    assert index.nodes == ref.nodes and index.position == ref.position
+    for name in ("rows", "indices", "degree"):
+        got, want = getattr(index, name), getattr(ref, name)
+        assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+    assert net.nodes == ref_nodes and net.edges == ref_edges
+    assert (net.n_nodes, net.n_edges) == (len(ref_nodes), len(ref_edges))
+    assert index.edge_pairs() == sorted(ref_edges)
+
+
+@st.composite
+def raw_graphs(draw):
+    """Node labels with repeats and edges with reversed and repeated pairs,
+    each a tuple or a list; isolated nodes arise wherever no pair is drawn."""
+    labels = draw(st.lists(st.text("abz", min_size=1, max_size=3), max_size=14))
+    pairs = list(itertools.permutations(sorted(set(labels)), 2))
+    if not pairs:
+        return labels, []
+    edge = st.tuples(st.sampled_from(pairs), st.booleans())
+    drawn = draw(st.lists(edge, max_size=30))
+    return labels, [list(pair) if as_list else pair for pair, as_list in drawn]
+
+
+class TestOnePassConstruction:
+    """The one pass gives the two-pass reference's index, sets and edge order."""
+
+    @given(raw_graphs())
+    @settings(max_examples=100, deadline=None)
+    def test_generated_graphs(self, graph):
+        nodes, edges = graph
+        assert_matches_reference(LexicalNetwork(nodes, edges), nodes, edges)
+
+    def test_empty_graph(self):
+        assert_matches_reference(LexicalNetwork(set(), []), set(), [])
+
+    def test_every_network_of_the_demo_run(self, demo_run):
+        _, built = demo_run
+        assert len(built) > 100
+        for nodes, edges, net in built:
+            assert_matches_reference(net, nodes, edges)
+
+    def test_features_and_spread_never_build_the_sets(self, demo_run, monkeypatch):
+        config, _ = demo_run
+
+        def refuse(net):
+            raise AssertionError("a network's node or edge set was built")
+
+        monkeypatch.setattr(LexicalNetwork, "nodes", property(refuse))
+        monkeypatch.setattr(LexicalNetwork, "edges", property(refuse))
+        for stage in ("features", "spread"):
+            assert cli.main([stage, "--config", config]) == 0, stage

@@ -388,14 +388,25 @@ class TestTableReaders:
             ("s2,cat,dog,sun,Cat.,3.5", "rating '3.5' is not an integer"),
             ("s2,cat,dog,sun,Cat.,6", r"rating 6 by 'R' outside \[1, 5\]"),
             ("s2,cat,dog,sun,Cat., ", "a story needs at least one rating"),
+            ("s2,cat,dog,sun," + "C" * 131_073 + ",3",
+             r"field larger than field limit \(131072\)"),
         ],
-        ids=["cell-count", "duplicate-id", "non-integer", "out-of-range", "no-ratings"],
+        ids=["cell-count", "duplicate-id", "non-integer", "out-of-range", "no-ratings",
+             "oversize-cell"],
     )
     def test_stories_csv_row_names_file_and_row(self, tmp_path, row, message):
         path = tmp_path / "stories.csv"
         header = "id,prompt1,prompt2,prompt3,text,R"
         path.write_text(f"{header}\ns1,cat,dog,sun,Cat.,3\n{row}\n", encoding="utf-8")
         with pytest.raises(InputFormatError, match=f"^{re.escape(str(path))}: row 3: {message}"):
+            textpipe.read_stories_csv(path, {}, set(), set())
+
+    def test_nul_byte_names_file_and_offset(self, tmp_path):
+        # Python 3.11's csv module reads a NUL as data, 3.10's refuses it: open_text
+        # refuses it on every version
+        path = tmp_path / "stories.csv"
+        path.write_bytes(b"id,prompt1,prompt2,prompt3,text,R\ns1,cat,dog,sun,Cat\0.,3\n")
+        with pytest.raises(InputFormatError, match=f"^{re.escape(str(path))}: byte 52 is NUL$"):
             textpipe.read_stories_csv(path, {}, set(), set())
 
     @pytest.mark.parametrize("raters", ["R,R", "R,", "R, R "], ids=["repeated", "empty", "spaced"])
